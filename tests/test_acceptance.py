@@ -1,7 +1,7 @@
 """Acceptance suite: seven criteria, one test each, each printing a PASS line.
 
 Run with `pytest -s tests/test_acceptance.py -v` to see the per-criterion
-lines. The corpus is seeded and fixed: 514 instances across five families,
+lines. The corpus (built once per session in conftest) is seeded and fixed: 514 instances across five families,
 sizes 8 through 4096. Trees and k-trees run with tau=1; families without a
 structural treelength bound run with the exact measured layering-tree length.
 """
@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-
-import pytest
 
 from sprec import (
-    BOUNDED_DEGREE_CONNECTED,
-    CYCLE,
     DistanceOracle,
     FamilySpec,
     Graph,
@@ -24,7 +19,6 @@ from sprec import (
     KnownPrefix,
     QueryPhase,
     RANDOM_TREE,
-    RING_OF_CLIQUES,
     ReconstructionConfig,
     build_layering,
     build_layering_tree,
@@ -36,97 +30,11 @@ from sprec import (
     reconstruct,
     reconstruct_naive,
     tree_length,
-    verify_family_invariants,
 )
 from sprec.cli import main as cli_main
 from sprec.reconstruct import _AncestorSearch
 
 from .conftest import brute_components
-
-NEEDS_MEASURED_BOUND = (RING_OF_CLIQUES, CYCLE, BOUNDED_DEGREE_CONNECTED)
-
-
-def corpus_specs() -> list[FamilySpec]:
-    specs: list[FamilySpec] = []
-    for delta in (3, 4, 5):
-        for n in (8, 16, 24, 32, 48, 64):
-            for seed in range(10):
-                specs.append(FamilySpec(RANDOM_TREE, n, delta, seed=seed))
-    for n in (512, 1024, 2048, 4096):
-        for seed in (0, 1):
-            specs.append(FamilySpec(RANDOM_TREE, n, 4, seed=seed))
-    for n in (8, 16, 32, 64, 128):
-        for seed in range(12):
-            specs.append(FamilySpec(KTREE, n, 8, k=2, seed=seed))
-    for n in (256, 1024):
-        for seed in (0, 1):
-            specs.append(FamilySpec(KTREE, n, 8, k=2, seed=seed))
-    for c in (3, 4, 5):
-        for m in (3, 5, 8, 16):
-            for seed in range(8):
-                specs.append(
-                    FamilySpec(RING_OF_CLIQUES, c * m, c + 1, clique_size=c, seed=seed)
-                )
-    for n in (8, 9, 12, 16, 20, 24, 33, 48, 64, 81, 100, 128, 160, 200, 256, 331):
-        specs.append(FamilySpec(CYCLE, n, 2, seed=0))
-    for delta in (3, 4, 5):
-        for n in (8, 16, 32, 64, 96):
-            for seed in range(10):
-                specs.append(FamilySpec(BOUNDED_DEGREE_CONNECTED, n, delta, seed=seed))
-    return specs
-
-
-@dataclass
-class Run:
-    spec: FamilySpec
-    graph: Graph
-    true_delta: int
-    tau: int | None
-    ell: int
-    result: object
-    error: Exception | None
-
-
-@pytest.fixture(scope="session")
-def corpus_runs() -> tuple[list[Run], float]:
-    specs = corpus_specs()
-    runs: list[Run] = []
-    start = time.monotonic()
-    for spec in specs:
-        g, meta = generate(spec)
-        assert verify_family_invariants(g, spec) == [], spec
-        if spec.family in NEEDS_MEASURED_BOUND:
-            lay = build_layering(g, 0)
-            ell = tree_length(g, build_layering_tree(g, lay))
-            tau = None
-        else:
-            ell = None
-            tau = 1
-        cfg = ReconstructionConfig(
-            tau=tau if tau is not None else 1,
-            ell=ell,
-            strict_budget=True,
-            max_degree=max_degree(g),
-        )
-        error = None
-        result = None
-        try:
-            result = reconstruct(DistanceOracle(g), cfg)
-        except Exception as exc:  # recorded, judged by criterion 1
-            error = exc
-        runs.append(
-            Run(
-                spec=spec,
-                graph=g,
-                true_delta=max_degree(g),
-                tau=tau,
-                ell=cfg.effective_ell,
-                result=result,
-                error=error,
-            )
-        )
-    elapsed = time.monotonic() - start
-    return runs, elapsed
 
 
 def test_criterion_1_exactness(corpus_runs):
