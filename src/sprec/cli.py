@@ -55,6 +55,16 @@ CSV_COLUMNS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _size_list(text: str) -> list[int]:
+    return [_positive_int(s) for s in text.split(",")]
+
+
 def _read_graph_file(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return read_edge_list(fh.read())
@@ -211,7 +221,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = args.sizes
     records: list[dict] = []
     for n in sizes:
         for rep in range(args.repeats):
@@ -304,13 +314,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="sweep sizes and seeds, emit records")
     p_bench.add_argument("--family", required=True, choices=FAMILIES)
-    p_bench.add_argument("--sizes", required=True, help="comma-separated n values")
+    p_bench.add_argument(
+        "--sizes", required=True, type=_size_list, help="comma-separated n values"
+    )
     p_bench.add_argument("--delta", type=int, required=True)
     p_bench.add_argument("--k", type=int, default=None)
     p_bench.add_argument("--clique-size", type=int, default=None)
     p_bench.add_argument("--tau", type=int, default=1)
     p_bench.add_argument("--ell-from-truth", action="store_true")
-    p_bench.add_argument("--repeats", type=int, default=1)
+    p_bench.add_argument("--repeats", type=_positive_int, default=1)
     p_bench.add_argument("--seed", type=int, default=0, help="base seed")
     p_bench.add_argument("--out", required=True, help="CSV output path")
     p_bench.add_argument("--json", default=None, help="JSON mirror path")

@@ -58,9 +58,6 @@ class Graph:
                 if v > u:
                     yield (u, v)
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(self.edges())
-
     def has_edge(self, u: int, v: int) -> bool:
         a = self.adj[u]
         if len(a) > 8:

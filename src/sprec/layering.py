@@ -5,21 +5,15 @@ layer j are the intersections of layer j with the connected components of the
 graph minus all shallower layers; parts partition each layer and form a tree
 in which every part's parent sits one layer up.
 
-Two constructions are provided. build_layering_tree computes the full tree
-from a completely known graph (ground truth for tests and benchmarks).
-extend_partial_tree grows a depth-capped tree from a known prefix of the
-graph only, using the fact that vertices sharing a part at layer k are
-already connected inside the window of layers k..k+b+1, where b bounds the
-largest intra-part distance. Both constructions agree exactly on the layers
-they share.
-
-All structures are immutable once built except through extend_partial_tree,
-whose returned tree is single-owner while it is still being extended.
+build_layering_tree computes the full tree from a completely known graph
+(ground truth for tests and benchmarks). The reconstruction grows a
+depth-capped tree one layer at a time with LayeringTree.append_layer, from
+component labels of the known prefix; part ids are assigned so that both
+agree exactly on the layers they share.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,7 +22,6 @@ from .graph import (
     GraphBuilder,
     UNREACHABLE,
     bfs_distances,
-    components_masked,
 )
 
 GraphLike = Graph | GraphBuilder
@@ -118,30 +111,6 @@ class LayeringTree:
         if self.parent[part_id] >= 0:
             out.append(self.parent[part_id])
         return out
-
-    def describe(self, up_to_layer: int | None = None) -> list[tuple[int, int, tuple[int, ...], int]]:
-        """(part_id, layer, vertices, parent_id) rows for comparisons."""
-        hi = self.cap if up_to_layer is None else min(up_to_layer, self.cap)
-        return [
-            (p.part_id, p.layer, p.vertices, self.parent[p.part_id])
-            for p in self.parts
-            if p.layer <= hi
-        ]
-
-    def format_tree(self) -> str:
-        """Indented text dump (part id, layer, vertex list) for golden tests."""
-        lines: list[str] = []
-        if not self.parts:
-            return ""
-        stack = [0]
-        while stack:
-            pid = stack.pop()
-            part = self.parts[pid]
-            indent = "  " * part.layer
-            verts = " ".join(str(v) for v in part.vertices)
-            lines.append(f"{indent}P{pid} layer={part.layer} [{verts}]")
-            stack.extend(reversed(self.children[pid]))
-        return "\n".join(lines)
 
     # -- growth ------------------------------------------------------------
 
@@ -240,47 +209,6 @@ def build_layering_tree(g: GraphLike, layering: Layering) -> LayeringTree:
     return tree
 
 
-def extend_partial_tree(
-    prefix_graph: GraphLike,
-    layering: Layering,
-    k: int,
-    diameter_bound: int,
-    prefix_layers: int | None = None,
-    base: LayeringTree | None = None,
-) -> LayeringTree:
-    """Tree of parts through layer k, computed from a graph prefix only.
-
-    `prefix_graph` must contain exactly the edges among the first
-    `prefix_layers` layers (defaults to the layering's full layer count) and
-    `diameter_bound` must be at least the largest intra-part distance of the full
-    tree. Requires k <= prefix_layers - diameter_bound - 2 so that the layers
-    which determine each part are inside the prefix. Consumes no oracle
-    queries. Pass `base` (a tree capped shallower) to extend incrementally;
-    the base is mutated and returned.
-    """
-    i = layering.num_layers if prefix_layers is None else prefix_layers
-    if diameter_bound < 0:
-        raise PartialTreeError("diameter_bound must be nonnegative")
-    if k > i - diameter_bound - 2:
-        raise PartialTreeError(
-            f"cap {k} needs layers up to {k + diameter_bound + 1}, "
-            f"but the prefix only covers layers below {i}"
-        )
-    if k >= layering.num_layers:
-        raise PartialTreeError(f"cap {k} exceeds the deepest layer")
-    tree = base if base is not None else LayeringTree(len(layering.depth))
-    if tree.cap > k:
-        raise PartialTreeError(f"base tree already capped at {tree.cap} > {k}")
-    for j in range(tree.cap + 1, k + 1):
-        hi = min(j + diameter_bound + 1, layering.num_layers - 1)
-        window: list[int] = []
-        for layer in layering.layers[j : hi + 1]:
-            window.extend(layer)
-        labels = components_masked(prefix_graph, window)
-        tree.append_layer(j, labels, layering, prefix_graph)
-    return tree
-
-
 def tree_length(g: GraphLike, tree: LayeringTree) -> int:
     """Exact maximum intra-part distance, measured in the full graph.
 
@@ -346,69 +274,3 @@ def centroid(tree: LayeringTree, part_ids: Iterable[int]) -> int:
         if deg < 2:
             raise LayeringInvariantError("half-splitting part of a 3+ subtree must be internal")
     return best_pid
-
-
-def comp_vertices(
-    tree: LayeringTree,
-    part_id: int,
-    prefix_graph: GraphLike,
-    layering: Layering,
-    prefix_layers: int,
-) -> set[int]:
-    """Vertices of layers cap..prefix_layers-1 hanging below the given part.
-
-    The part must sit at the tree's capped layer. Works entirely on the known
-    prefix: the result is the prefix-side connected component of the part's
-    vertices once all layers above the cap are removed.
-    """
-    part = tree.parts[part_id]
-    k = part.layer
-    if k != tree.cap:
-        raise ValueError(f"part {part_id} is at layer {k}, not at the cap {tree.cap}")
-    depth = layering.depth
-    hi = prefix_layers - 1
-    seen = set(part.vertices)
-    queue = deque(part.vertices)
-    adj = prefix_graph.adj
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen and k <= depth[w] <= hi:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
-def anc_by_connectivity(
-    u: int,
-    tree: LayeringTree,
-    prefix_graph: GraphLike,
-    layering: Layering,
-) -> int:
-    """Capped-layer ancestor part of a prefix vertex, by pure connectivity.
-
-    Valid for vertices at layers cap..prefix_layers-1; zero oracle queries.
-    BFS from u among layers at or below the cap stops at the first capped
-    vertex reached, which is in the unique capped part of u's component.
-    """
-    k = tree.cap
-    depth = layering.depth
-    if depth[u] < k:
-        raise ValueError(f"vertex {u} is above the capped layer {k}")
-    if depth[u] == k:
-        return tree.vertex_to_part[u]
-    seen = {u}
-    queue = deque([u])
-    adj = prefix_graph.adj
-    while queue:
-        x = queue.popleft()
-        for w in adj[x]:
-            if w in seen or depth[w] < k:
-                continue
-            if depth[w] == k:
-                return tree.vertex_to_part[w]
-            seen.add(w)
-            queue.append(w)
-    raise LayeringInvariantError(
-        f"vertex {u} reaches no capped-layer part; the prefix looks corrupted"
-    )

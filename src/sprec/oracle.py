@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, is_connected
+from .graph import Graph, is_connected, max_degree
 
 # Below this size a plain deque BFS beats the vectorized one.
 _NUMPY_MIN_N = 1024
@@ -74,32 +74,20 @@ class DistanceOracle:
         self._pair_cache: dict[tuple[int, int], int] = {}
         self._rows: OrderedDict[int, object] = OrderedDict()
         self._max_rows = max(64, _ROW_CACHE_BYTES // max(1, 4 * hidden.n))
-        self._use_numpy = hidden.n >= _NUMPY_MIN_N
-        if self._use_numpy:
-            deg_cap = max((len(a) for a in hidden.adj), default=0)
-            self._padded = deg_cap <= 32
-            if self._padded:
-                # Row v holds v's neighbors padded with v itself; a visited
-                # vertex never re-enters a frontier, so pads filter out free.
-                pad = np.empty((hidden.n, max(deg_cap, 1)), dtype=np.int32)
-                for v in range(hidden.n):
-                    pad[v, :] = v
-                    a = hidden.adj[v]
-                    pad[v, : len(a)] = a
-                self._pad_adj = pad
-                self._claim = np.empty(hidden.n, dtype=np.int64)
-            else:
-                indptr = np.zeros(hidden.n + 1, dtype=np.int64)
-                for v in range(hidden.n):
-                    indptr[v + 1] = indptr[v] + len(hidden.adj[v])
-                indices = np.empty(int(indptr[-1]), dtype=np.int32)
-                pos = 0
-                for v in range(hidden.n):
-                    a = hidden.adj[v]
-                    indices[pos : pos + len(a)] = a
-                    pos += len(a)
-                self._indptr = indptr
-                self._indices = indices
+        deg_cap = max_degree(hidden)
+        # Large graphs of degree at most 32 get the padded numpy BFS; every
+        # other graph gets the deque BFS.
+        self._padded = hidden.n >= _NUMPY_MIN_N and deg_cap <= 32
+        if self._padded:
+            # Row v holds v's neighbors padded with v itself; a visited
+            # vertex never re-enters a frontier, so pads filter out free.
+            pad = np.empty((hidden.n, max(deg_cap, 1)), dtype=np.int32)
+            for v in range(hidden.n):
+                pad[v, :] = v
+                a = hidden.adj[v]
+                pad[v, : len(a)] = a
+            self._pad_adj = pad
+            self._claim = np.empty(hidden.n, dtype=np.int64)
 
     # -- query surface ----------------------------------------------------
 
@@ -110,11 +98,13 @@ class DistanceOracle:
             raise ValueError(f"vertex pair ({u},{v}) out of range for n={self.n}")
         ledger = self.ledger
         ledger.raw_calls += 1
-        key = (u, v) if u <= v else (v, u)
+        if u == v:
+            return 0  # not a pair: nothing to charge, cache or log
+        key = (u, v) if u < v else (v, u)
         cached = self._pair_cache.get(key)
         if cached is not None:
             return cached
-        d = 0 if u == v else self._distance(u, v)
+        d = self._distance(u, v)
         self._pair_cache[key] = d
         ledger.distinct_queries += 1
         ledger.per_phase[phase] += 1
@@ -130,12 +120,6 @@ class DistanceOracle:
         if targets:
             self._ensure_row(s)
         return {t: self.query(s, t, phase) for t in targets}
-
-    def assert_budget(self, phase: QueryPhase, limit: int | float) -> bool:
-        return self.ledger.per_phase[phase] <= limit
-
-    def distinct_queries(self) -> int:
-        return self.ledger.distinct_queries
 
     def write_query_log(self, out: io.TextIOBase) -> None:
         """Dump charged queries as CSV lines "u,v,distance,phase"."""
@@ -162,7 +146,7 @@ class DistanceOracle:
         if row is not None:
             self._rows.move_to_end(s)
             return row
-        row = self._bfs_numpy(s) if self._use_numpy else self._bfs_python(s)
+        row = self._bfs_padded(s) if self._padded else self._bfs_python(s)
         self._rows[s] = row
         if len(self._rows) > self._max_rows:
             self._rows.popitem(last=False)
@@ -180,33 +164,6 @@ class DistanceOracle:
                 if dist[w] < 0:
                     dist[w] = dx
                     queue.append(w)
-        return dist
-
-    def _bfs_numpy(self, s: int) -> np.ndarray:
-        if self._padded:
-            return self._bfs_padded(s)
-        indptr, indices = self._indptr, self._indices
-        dist = np.full(self.n, -1, dtype=np.int32)
-        dist[s] = 0
-        frontier = np.array([s], dtype=np.int64)
-        d = 0
-        while frontier.size:
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            rel = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            nbrs = indices[np.repeat(starts, counts) + rel]
-            fresh = nbrs[dist[nbrs] < 0]
-            if fresh.size == 0:
-                break
-            fresh = np.unique(fresh).astype(np.int64)
-            d += 1
-            dist[fresh] = d
-            frontier = fresh
         return dist
 
     def _bfs_padded(self, s: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .base import ParamsMixin, check_is_fitted
 from .graph import Graph, GraphBuilder, components_masked, neighbors_of_set
 from .layering import (
     Layering,
@@ -70,32 +69,12 @@ class ReconstructionConfig:
             raise ValueError("tau must be a positive integer")
         if self.ell is not None and self.ell < 0:
             raise ValueError("ell must be nonnegative")
-        if self.max_degree is not None and self.max_degree < 1:
-            raise ValueError("max_degree must be positive when given")
+        if self.max_degree is not None and self.max_degree < 0:
+            raise ValueError("max_degree must be nonnegative when given")
         if self.strict_budget and self.max_degree is None:
             raise ValueError(
                 "strict_budget requires max_degree: all budgets are powers of it"
             )
-
-
-@dataclass(frozen=True)
-class KnownPrefix:
-    """The reconstructed graph induced by the first `known_layers` layers."""
-
-    known_layers: int
-    graph: Graph
-    layering: Layering
-
-    @classmethod
-    def from_graph(cls, g: Graph, layering: Layering, known_layers: int) -> "KnownPrefix":
-        """Induced prefix of a fully known graph (test and harness helper)."""
-        depth = layering.depth
-        edges = [
-            (u, v)
-            for u, v in g.edges()
-            if depth[u] < known_layers and depth[v] < known_layers
-        ]
-        return cls(known_layers, Graph(g.n, edges), layering)
 
 
 @dataclass(frozen=True)
@@ -154,7 +133,12 @@ class _AncestorSearch:
         )
 
     def locate(self, x: int, oracle: DistanceOracle) -> tuple[int, int, int]:
-        """Capped-layer ancestor part of x, plus (distinct queries, rounds)."""
+        """Capped-layer ancestor part of x, plus (distinct queries, rounds).
+
+        Each round pivots on a centroid of the remaining part subtree, queries
+        x against the pivot's graph neighborhood and keeps the side of the
+        nearest neighbor (ties to the smallest id), until one capped part is left.
+        """
         tree = self.tree
         ledger = oracle.ledger
         before = ledger.distinct_queries
@@ -236,104 +220,50 @@ class _AncestorSearch:
         node.child_by_part = child_by_part
 
 
-def find_ancestor_part(
-    x: int,
-    k: int,
-    tree: LayeringTree,
-    prefix: KnownPrefix,
-    oracle: DistanceOracle,
-    *,
-    search: _AncestorSearch | None = None,
-    max_degree: int | None = None,
-    strict_budget: bool = False,
-) -> int:
-    """Capped-layer ancestor part of a vertex beyond the known prefix.
+def _grow_tree(
+    tree: LayeringTree, layering: Layering, prefix_graph: GraphLike, k: int, ell: int
+) -> dict[int, int]:
+    """Append the parts of layer k to the capped tree; return the window labels.
 
-    Repeatedly pivots on a centroid of the remaining part subtree, queries
-    the distances from x to the pivot's graph neighborhood (all inside the
-    prefix), and keeps the subtree on the near side; ties go to the smallest
-    vertex id. Stops as soon as a single capped-layer part remains.
+    Vertices that share a part at layer k are already connected inside the
+    known layers k..k+ell+1 when ell bounds the part diameter, so the masked
+    components of that window group layer k exactly as the full graph does.
     """
-    if tree.cap != k:
-        raise ValueError(f"tree is capped at {tree.cap}, expected {k}")
-    if prefix.known_layers < k + 2:
-        raise ValueError("prefix must cover at least two layers beyond the cap")
-    if prefix.layering.depth[x] <= k:
-        raise ValueError(f"vertex {x} is not below the capped layer {k}")
-    if search is None:
-        search = _AncestorSearch(tree, prefix.graph)
-    pid, cost, _rounds = search.locate(x, oracle)
-    if strict_budget:
-        if max_degree is None:
-            raise ValueError("strict_budget requires max_degree")
-        ell = prefix.known_layers - 2 - k
-        limit = max_degree ** (ell + 2) * _ceil_log2(oracle.n)
-        if cost > limit:
-            raise BudgetExceeded(
-                f"ancestor search for {x} used {cost} queries, limit {limit}"
-            )
-    return pid
-
-
-def extend_one_layer(
-    prefix: KnownPrefix,
-    tree: LayeringTree,
-    oracle: DistanceOracle,
-    *,
-    max_degree: int | None = None,
-    strict_budget: bool = False,
-) -> KnownPrefix:
-    """Grow the known prefix by one layer, discovering all its new edges.
-
-    The tree must be capped exactly diameter_bound + 2 layers above the
-    prefix edge. New edges (inside the new layer and to the previous one) are
-    found by querying each new vertex against the candidate set hanging below
-    its capped-layer ancestor part.
-    """
-    i = prefix.known_layers
-    ell = i - 2 - tree.cap
-    if ell < 0:
-        raise ValueError("tree cap is too deep for this prefix")
-    if i >= prefix.layering.num_layers:
-        raise ValueError("prefix already covers every layer")
-    new_edges, _trace = _extend_layer(
-        prefix.graph,
-        prefix.layering,
-        i,
-        ell,
-        tree,
-        oracle,
-        max_degree=max_degree,
-        strict=strict_budget,
-    )
-    merged = list(prefix.graph.edges()) + new_edges
-    return KnownPrefix(i + 1, Graph(prefix.graph.n, merged), prefix.layering)
+    window = [v for layer in layering.layers[k : k + ell + 2] for v in layer]
+    labels = components_masked(prefix_graph, window)
+    tree.append_layer(k, labels, layering, prefix_graph)
+    return labels
 
 
 def _extend_layer(
-    prefix_graph: GraphLike,
+    builder: GraphBuilder,
     layering: Layering,
+    tree: LayeringTree,
     i: int,
     ell: int,
-    tree: LayeringTree,
     oracle: DistanceOracle,
-    *,
-    max_degree: int | None = None,
-    strict: bool = False,
-    labels: dict[int, int] | None = None,
-    search: _AncestorSearch | None = None,
-) -> tuple[list[tuple[int, int]], LayerTrace]:
-    """Find the edges incident to layer i given the prefix below it."""
+    max_degree: int | None,
+    strict: bool,
+) -> LayerTrace:
+    """Find the edges incident to layer i given the prefix below it.
+
+    Caps the tree at layer i - ell - 2, locates the capped-layer ancestor part
+    of every new vertex, then queries each new vertex against the previous
+    and current layer vertices below the same part. New edges go to builder.
+    """
     k = i - ell - 2
-    if tree.cap != k:
-        raise ValueError(f"tree is capped at {tree.cap}, expected {k}")
-    if strict and max_degree is None:
-        raise ValueError("strict budget checks require max_degree")
+    labels = _grow_tree(tree, layering, builder, k, ell)
+    if max_degree is not None:
+        part_limit = max_degree ** (ell + 1)
+        for pid in tree.parts_at(k):
+            if len(tree.parts[pid].vertices) > part_limit:
+                raise InvariantViolation(
+                    f"part at layer {k} has {len(tree.parts[pid].vertices)} "
+                    f"vertices, above the bound {part_limit}; the diameter "
+                    "bound is likely too small"
+                )
     layers = layering.layers
     n = len(layering.depth)
-    if labels is None:
-        window = [v for layer in layers[k:i] for v in layer]
-        labels = components_masked(prefix_graph, window)
 
     label_to_part: dict[int, int] = {}
     for pid in tree.parts_at(k):
@@ -348,8 +278,7 @@ def _extend_layer(
             "a prefix vertex is disconnected from every capped-layer part"
         ) from None
 
-    if search is None:
-        search = _AncestorSearch(tree, prefix_graph)
+    search = _AncestorSearch(tree, builder)
     ledger = oracle.ledger
     anc_limit = (
         max_degree ** (ell + 2) * _ceil_log2(n) if max_degree is not None else None
@@ -377,7 +306,6 @@ def _extend_layer(
 
     cand_limit = max_degree ** (2 * ell + 4) if max_degree is not None else None
     seen_pairs: set[tuple[int, int]] = set()
-    new_edges: list[tuple[int, int]] = []
     nb_before = ledger.distinct_queries
     max_vertex = 0
     max_cand = 0
@@ -402,7 +330,7 @@ def _extend_layer(
                 continue
             seen_pairs.add(key)
             if oracle.query(v, u, QueryPhase.NEIGHBOR_SEARCH) == 1:
-                new_edges.append(key)
+                builder.add_edge(*key)
         v_used = ledger.distinct_queries - v_before
         if strict and v_used > cand_limit:
             raise BudgetExceeded(
@@ -411,7 +339,7 @@ def _extend_layer(
         max_vertex = max(max_vertex, v_used)
     nb_total = ledger.distinct_queries - nb_before
 
-    trace = LayerTrace(
+    return LayerTrace(
         layer=i,
         layer_size=len(layers[i]),
         ancestor_queries=anc_total,
@@ -421,7 +349,6 @@ def _extend_layer(
         max_neighbor_queries_per_vertex=max_vertex,
         max_candidate_set=max_cand,
     )
-    return new_edges, trace
 
 
 def reconstruct(
@@ -474,37 +401,10 @@ def reconstruct(
             )
 
     tree = LayeringTree(n)
-    trace: list[LayerTrace] = []
-    part_limit = delta ** (ell + 1) if delta is not None else None
-    for i in range(ell + 2, layering.num_layers):
-        k = i - ell - 2
-        window = [v for layer in layering.layers[k:i] for v in layer]
-        labels = components_masked(builder, window)
-        new_parts = tree.append_layer(k, labels, layering, builder)
-        if part_limit is not None:
-            for pid in new_parts:
-                if len(tree.parts[pid].vertices) > part_limit:
-                    raise InvariantViolation(
-                        f"part at layer {k} has {len(tree.parts[pid].vertices)} "
-                        f"vertices, above the bound {part_limit}; the diameter "
-                        "bound is likely too small"
-                    )
-        search = _AncestorSearch(tree, builder)
-        new_edges, row = _extend_layer(
-            builder,
-            layering,
-            i,
-            ell,
-            tree,
-            oracle,
-            max_degree=delta,
-            strict=strict,
-            labels=labels,
-            search=search,
-        )
-        for u, v in new_edges:
-            builder.add_edge(u, v)
-        trace.append(row)
+    trace = [
+        _extend_layer(builder, layering, tree, i, ell, oracle, delta, strict)
+        for i in range(ell + 2, layering.num_layers)
+    ]
 
     return ReconstructionResult(
         graph=builder.to_graph(),
@@ -526,76 +426,3 @@ def reconstruct_naive(oracle: DistanceOracle) -> Graph:
             if d == 1:
                 builder.add_edge(u, v)
     return builder.to_graph()
-
-
-class _ReconstructorBase(ParamsMixin):
-    """Shared fit/predict surface for the reconstruction estimators."""
-
-    @staticmethod
-    def _as_oracle(X) -> DistanceOracle:
-        if isinstance(X, Graph):
-            return DistanceOracle(X)
-        if isinstance(X, DistanceOracle):
-            return X
-        if all(hasattr(X, a) for a in ("n", "query", "batch_distances_from")):
-            return X
-        raise TypeError(
-            "fit expects a DistanceOracle (or a Graph to wrap in one), "
-            f"got {type(X).__name__}"
-        )
-
-    def predict(self, pairs) -> list[bool]:
-        """Edge membership in the reconstructed graph for (u, v) pairs."""
-        check_is_fitted(self, "graph_")
-        return [self.graph_.has_edge(u, v) for u, v in pairs]
-
-
-class GraphReconstructor(_ReconstructorBase):
-    """Estimator wrapper around reconstruct().
-
-    Parameters mirror ReconstructionConfig. fit(X) accepts a DistanceOracle
-    or a Graph (wrapped in a fresh oracle). Fitted attributes: graph_,
-    ledger_, trace_, n_queries_, ell_, oracle_, result_.
-    """
-
-    def __init__(
-        self,
-        tau: int = 1,
-        ell: int | None = None,
-        strict_budget: bool = False,
-        max_degree: int | None = None,
-    ):
-        self.tau = tau
-        self.ell = ell
-        self.strict_budget = strict_budget
-        self.max_degree = max_degree
-
-    def fit(self, X, y=None) -> "GraphReconstructor":
-        oracle = self._as_oracle(X)
-        cfg = ReconstructionConfig(
-            tau=self.tau,
-            ell=self.ell,
-            strict_budget=self.strict_budget,
-            max_degree=self.max_degree,
-        )
-        result = reconstruct(oracle, cfg)
-        self.oracle_ = oracle
-        self.result_ = result
-        self.graph_ = result.graph
-        self.ledger_ = result.ledger
-        self.trace_ = result.trace
-        self.ell_ = result.ell
-        self.n_queries_ = result.ledger.distinct_queries
-        return self
-
-
-class NaiveReconstructor(_ReconstructorBase):
-    """Estimator wrapper around the all-pairs baseline."""
-
-    def fit(self, X, y=None) -> "NaiveReconstructor":
-        oracle = self._as_oracle(X)
-        self.oracle_ = oracle
-        self.graph_ = reconstruct_naive(oracle)
-        self.ledger_ = oracle.ledger.snapshot()
-        self.n_queries_ = self.ledger_.distinct_queries
-        return self

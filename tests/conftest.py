@@ -16,6 +16,7 @@ from sprec import (
     FamilySpec,
     Graph,
     KTREE,
+    LayeringTree,
     RANDOM_TREE,
     RING_OF_CLIQUES,
     ReconstructionConfig,
@@ -27,6 +28,7 @@ from sprec import (
     tree_length,
     verify_family_invariants,
 )
+from sprec.reconstruct import _grow_tree
 
 
 def brute_all_pairs(g: Graph) -> list[list[int]]:
@@ -94,6 +96,32 @@ def brute_anc(g: Graph, depth: list[int] | tuple[int, ...], x: int, k: int) -> f
     return frozenset(
         v for v in alive if depth[v] == k and labels[v] == target
     )
+
+
+def prefix_graph(g: Graph, layering, known_layers: int) -> Graph:
+    """The subgraph of g induced by its first `known_layers` BFS layers."""
+    depth = layering.depth
+    return Graph(
+        g.n,
+        [(u, v) for u, v in g.edges() if depth[u] < known_layers and depth[v] < known_layers],
+    )
+
+
+def capped_tree(g: Graph, layering, k: int, ell: int) -> LayeringTree:
+    """Layering tree through layer k, grown layer by layer as reconstruct grows it."""
+    tree = LayeringTree(g.n)
+    for j in range(k + 1):
+        _grow_tree(tree, layering, g, j, ell)
+    return tree
+
+
+def truncation(tree: LayeringTree, k: int) -> tuple[list, list[int]]:
+    """(parts, parents) of the tree restricted to layers 0..k.
+
+    Part ids follow (layer, min vertex) order, so these are list prefixes.
+    """
+    m = sum(1 for p in tree.parts if p.layer <= k)
+    return tree.parts[:m], tree.parent[:m]
 
 
 def random_graph(rng: random.Random, n: int, extra_edges: int) -> Graph:

@@ -16,14 +16,12 @@ from sprec import (
     FamilySpec,
     Graph,
     KTREE,
-    KnownPrefix,
+    LayeringTree,
     QueryPhase,
     RANDOM_TREE,
     ReconstructionConfig,
     build_layering,
     build_layering_tree,
-    extend_partial_tree,
-    find_ancestor_part,
     generate,
     graphs_equal,
     max_degree,
@@ -32,9 +30,9 @@ from sprec import (
     tree_length,
 )
 from sprec.cli import main as cli_main
-from sprec.reconstruct import _AncestorSearch
+from sprec.reconstruct import _AncestorSearch, _grow_tree
 
-from .conftest import brute_components
+from .conftest import brute_components, prefix_graph, truncation
 
 
 def test_criterion_1_exactness(corpus_runs):
@@ -165,11 +163,11 @@ def _check_structure_suite(g: Graph, oracle: DistanceOracle) -> tuple[int, int]:
         assert sum(1 for q in full.tree_neighbors(pid) if q in subset) >= 2
 
     anc_checks = 0
-    tree = None
+    tree = LayeringTree(n)
     for k in range(0, lay.num_layers - ell - 2):
-        tree = extend_partial_tree(g, lay, k, ell, base=tree)
+        _grow_tree(tree, lay, g, k, ell)
         # truncation equivalence against the ground-truth tree
-        assert tree.describe() == full.describe(up_to_layer=k)
+        assert truncation(tree, k) == truncation(full, k)
 
         alive = {v for v in range(n) if depth[v] >= k}
         labels = brute_components(g, alive)
@@ -192,11 +190,10 @@ def _check_structure_suite(g: Graph, oracle: DistanceOracle) -> tuple[int, int]:
                 assert running <= delta ** (ell + i - k + 2)
 
         # logarithmic ancestor search agrees with brute-force components
-        prefix = KnownPrefix.from_graph(g, lay, k + 2)
-        search = _AncestorSearch(tree, prefix.graph)
+        search = _AncestorSearch(tree, prefix_graph(g, lay, k + 2))
         for j in range(k + ell + 2, lay.num_layers):
             for x in lay.layers[j]:
-                pid2 = find_ancestor_part(x, k, tree, prefix, oracle, search=search)
+                pid2, _, _ = search.locate(x, oracle)
                 assert label_of_part[pid2] == labels[x]
                 anc_checks += 1
     return len(full.parts), anc_checks

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import pytest
 
 from sprec import Graph, graphs_equal, read_edge_list, write_edge_list
 from sprec.cli import main
@@ -95,6 +96,14 @@ class TestReconstruct:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_one_vertex_graph_needs_no_queries(self, tmp_path, capsys):
+        # its true maximum degree is 0, which is a valid bound
+        src = tmp_path / "k1.edges"
+        write_graph(src, Graph(1))
+        assert main(["reconstruct", str(src), "--strict-budget"]) == 0
+        stdout = capsys.readouterr().out
+        assert "correct=true" in stdout and "q_total=0" in stdout
+
     def test_parse_error_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"
         bad.write_text("2 1\n0 0\n")
@@ -181,3 +190,28 @@ class TestBench:
         )
         assert rc == 1
         assert "FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--repeats", "0"), ("--sizes", "32,abc"), ("--sizes", ",")]
+    )
+    def test_bad_count_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        args = [
+            "bench", "--family", "random-tree", "--sizes", "16",
+            "--delta", "4", "--out", str(tmp_path / "bench.csv"),
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(args + [flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+
+    def test_single_vertex_size(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        rc = main(
+            [
+                "bench", "--family", "random-tree", "--sizes", "1",
+                "--delta", "4", "--strict-budget", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert row["correct"] == "true" and row["q_total"] == "0"

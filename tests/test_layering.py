@@ -3,21 +3,26 @@ import random
 import pytest
 
 from sprec import (
+    DistanceOracle,
     Graph,
+    LayeringTree,
     PartialTreeError,
-    anc_by_connectivity,
     build_layering,
     build_layering_tree,
     centroid,
-    comp_vertices,
-    extend_partial_tree,
     layering_from_depths,
     max_degree,
     tree_length,
 )
-from sprec.reconstruct import KnownPrefix
+from sprec.reconstruct import _AncestorSearch, _grow_tree
 
-from .conftest import brute_components, random_graph
+from .conftest import (
+    brute_components,
+    capped_tree,
+    prefix_graph,
+    random_graph,
+    truncation,
+)
 
 
 def path(n):
@@ -89,15 +94,6 @@ class TestLayeringTree:
         layer1 = [p.vertices for p in tree.parts if p.layer == 1]
         assert sorted(layer1) == [(1,), (3,)]
 
-    def test_format_tree_golden_c6(self):
-        tree = build_layering_tree(C6, C6_LAY)
-        assert tree.format_tree() == (
-            "P0 layer=0 [0]\n"
-            "  P1 layer=1 [1 5]\n"
-            "    P2 layer=2 [2 4]\n"
-            "      P3 layer=3 [3]"
-        )
-
     def test_structural_invariants_on_random_graphs(self):
         rng = random.Random(11)
         for _ in range(60):
@@ -144,21 +140,23 @@ class TestExtendPartialTree:
     def test_full_prefix_equals_truncation_c6(self):
         full = build_layering_tree(C6, C6_LAY)
         for k in range(2):
-            part = extend_partial_tree(C6, C6_LAY, k, 2, prefix_layers=6)
-            assert part.describe() == full.describe(up_to_layer=k)
+            got = capped_tree(C6, C6_LAY, k, 2)
+            assert truncation(got, k) == truncation(full, k)
 
     def test_c6_cap_one(self):
-        tree = extend_partial_tree(C6, C6_LAY, 1, 2, prefix_layers=5)
+        tree = capped_tree(C6, C6_LAY, 1, 2)
         assert [(p.layer, p.vertices) for p in tree.parts] == [(0, (0,)), (1, (1, 5))]
         assert tree.parent == [-1, 0]
 
     def test_cap_zero(self):
-        tree = extend_partial_tree(C6, C6_LAY, 0, 2, prefix_layers=4)
+        tree = capped_tree(C6, C6_LAY, 0, 2)
         assert [(p.layer, p.vertices) for p in tree.parts] == [(0, (0,))]
 
     def test_precondition_rejected(self):
+        # layers join the capped tree one at a time, in order
+        tree = capped_tree(C6, C6_LAY, 0, 2)
         with pytest.raises(PartialTreeError):
-            extend_partial_tree(C6, C6_LAY, 2, 2, prefix_layers=5)
+            _grow_tree(tree, C6_LAY, C6, 2, 2)
 
     def test_truncation_equivalence_from_real_prefixes(self):
         rng = random.Random(3)
@@ -171,9 +169,8 @@ class TestExtendPartialTree:
             ell = tree_length(g, full)
             for i in range(ell + 2, lay.num_layers + 1):
                 k = i - ell - 2
-                prefix = KnownPrefix.from_graph(g, lay, i)
-                got = extend_partial_tree(prefix.graph, lay, k, ell, prefix_layers=i)
-                assert got.describe() == full.describe(up_to_layer=k)
+                got = capped_tree(prefix_graph(g, lay, i), lay, k, ell)
+                assert truncation(got, k) == truncation(full, k)
 
     def test_incremental_extension_matches_fresh_build(self):
         rng = random.Random(9)
@@ -184,10 +181,10 @@ class TestExtendPartialTree:
         max_k = lay.num_layers - ell - 2
         if max_k < 1:
             pytest.skip("instance too shallow for an incremental walk")
-        base = None
+        tree = LayeringTree(g.n)
         for k in range(0, max_k):
-            base = extend_partial_tree(g, lay, k, ell, base=base)
-            assert base.describe() == full.describe(up_to_layer=k)
+            _grow_tree(tree, lay, g, k, ell)
+            assert truncation(tree, k) == truncation(full, k)
 
 
 class TestCentroid:
@@ -268,43 +265,28 @@ class TestCentroid:
 
 
 class TestCompAndAnc:
-    def test_comp_c6(self):
-        tree = extend_partial_tree(C6, C6_LAY, 1, 2, prefix_layers=5)
-        pid = tree.parts_at(1)[0]
-        assert comp_vertices(tree, pid, C6, C6_LAY, 3) == {1, 5, 2, 4}
+    """Capped-layer ancestors: by window labels above layer i, by search at i."""
 
-    def test_comp_single_layer_range(self):
-        tree = extend_partial_tree(C6, C6_LAY, 1, 2, prefix_layers=5)
-        pid = tree.parts_at(1)[0]
-        assert comp_vertices(tree, pid, C6, C6_LAY, 2) == {1, 5}
-
-    def test_comp_tree_graph_subtree(self):
-        # caterpillar-ish tree: 0-1-2-3 spine, 4 hangs off 1, 5 off 2
-        g = Graph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5)])
-        lay = build_layering(g, 0)
-        tree = extend_partial_tree(g, lay, 1, 0, prefix_layers=3)
-        pid = tree.vertex_to_part[1]
-        assert comp_vertices(tree, pid, g, lay, 3) == {1, 2, 4}
-
-    def test_comp_requires_cap_layer_part(self):
-        tree = extend_partial_tree(C6, C6_LAY, 1, 2, prefix_layers=5)
-        with pytest.raises(ValueError, match="cap"):
-            comp_vertices(tree, 0, C6, C6_LAY, 3)
+    @staticmethod
+    def label_anc(tree, labels, u):
+        by_label = {labels[tree.parts[pid].vertices[0]]: pid for pid in tree.parts_at(tree.cap)}
+        return by_label[labels[u]]
 
     def test_anc_at_cap_is_own_part(self):
-        tree = extend_partial_tree(C6, C6_LAY, 1, 2, prefix_layers=5)
-        assert anc_by_connectivity(5, tree, C6, C6_LAY) == tree.vertex_to_part[5]
+        tree = capped_tree(C6, C6_LAY, 0, 2)
+        labels = _grow_tree(tree, C6_LAY, C6, 1, 2)
+        assert self.label_anc(tree, labels, 5) == tree.vertex_to_part[5]
 
     def test_anc_c6_vertex_three(self):
-        tree = extend_partial_tree(C6, C6_LAY, 1, 2, prefix_layers=5)
-        pid = anc_by_connectivity(3, tree, C6, C6_LAY)
-        assert tree.parts[pid].vertices == (1, 5)
+        tree = capped_tree(C6, C6_LAY, 0, 2)
+        labels = _grow_tree(tree, C6_LAY, C6, 1, 2)
+        assert tree.parts[self.label_anc(tree, labels, 3)].vertices == (1, 5)
 
     def test_anc_path_chain(self):
         g = path(5)
         lay = build_layering(g, 0)
-        tree = extend_partial_tree(g, lay, 2, 0, prefix_layers=4)
-        pid = anc_by_connectivity(4, tree, g, lay)
+        tree = capped_tree(g, lay, 2, 0)
+        pid, _, _ = _AncestorSearch(tree, g).locate(4, DistanceOracle(g))
         assert tree.parts[pid].vertices == (2,)
 
     def test_anc_agrees_with_brute_components(self):
@@ -315,14 +297,15 @@ class TestCompAndAnc:
             lay = build_layering(g, 0)
             full = build_layering_tree(g, lay)
             ell = tree_length(g, full)
+            tree = LayeringTree(n)
             for k in range(0, max(0, lay.num_layers - ell - 2)):
-                tree = extend_partial_tree(g, lay, k, ell)
+                labels = _grow_tree(tree, lay, g, k, ell)
                 alive = {v for v in range(n) if lay.depth[v] >= k}
-                labels = brute_components(g, alive)
+                brute = brute_components(g, alive)
                 for u in range(n):
-                    if lay.depth[u] >= k:
-                        pid = anc_by_connectivity(u, tree, g, lay)
-                        assert labels[tree.parts[pid].vertices[0]] == labels[u]
+                    if k <= lay.depth[u] < k + ell + 2:
+                        pid = self.label_anc(tree, labels, u)
+                        assert brute[tree.parts[pid].vertices[0]] == brute[u]
 
 
 class TestStructureBounds:

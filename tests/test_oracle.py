@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from sprec import DistanceOracle, Graph, QueryPhase
+from sprec import (
+    BudgetExceeded,
+    DistanceOracle,
+    Graph,
+    QueryPhase,
+    ReconstructionConfig,
+    graphs_equal,
+    reconstruct,
+)
 
 from .conftest import brute_all_pairs, random_graph
 
@@ -21,8 +29,13 @@ ANC = QueryPhase.ANCESTOR_SEARCH
 
 class TestQuery:
     def test_self_distance_zero(self):
-        o = DistanceOracle(cycle(6))
+        o = DistanceOracle(cycle(6), log_queries=True)
         assert o.query(4, 4, ANC) == 0
+        # a self-pair is not a pair: counted as a call, never charged or logged
+        assert o.ledger.distinct_queries == 0
+        assert sum(o.ledger.per_phase.values()) == 0
+        assert o.ledger.log == []
+        assert o.ledger.raw_calls == 1
 
     def test_c6_antipodal(self):
         o = DistanceOracle(cycle(6))
@@ -78,19 +91,28 @@ class TestBatch:
 
 
 class TestBudget:
+    """Strict runs compare the oracle's per-phase ledger with each budget."""
+
     def test_unlimited(self):
+        # without strict_budget no phase total is checked: 6 bootstrap
+        # queries pass although max_degree=1 would allow one
         o = DistanceOracle(path(5))
-        assert o.assert_budget(ANC, float("inf"))
+        res = reconstruct(o, ReconstructionConfig(tau=1, max_degree=1))
+        assert graphs_equal(res.graph, path(5))
+        assert o.ledger.per_phase[QueryPhase.BOOTSTRAP] == 6
 
     def test_boundary_holds(self):
+        # the root scan budget is exactly n - 1
         o = DistanceOracle(path(5))
-        o.batch_distances_from(0, {1, 2, 3, 4}, QueryPhase.ROOT_BFS)
-        assert o.assert_budget(QueryPhase.ROOT_BFS, 4)
+        cfg = ReconstructionConfig(tau=1, strict_budget=True, max_degree=2)
+        reconstruct(o, cfg)
+        assert o.ledger.per_phase[QueryPhase.ROOT_BFS] == 4
 
     def test_exceeded(self):
         o = DistanceOracle(path(6))
-        o.batch_distances_from(0, {1, 2, 3, 4, 5}, QueryPhase.NEIGHBOR_SEARCH)
-        assert not o.assert_budget(QueryPhase.NEIGHBOR_SEARCH, 4)
+        cfg = ReconstructionConfig(tau=1, strict_budget=True, max_degree=1)
+        with pytest.raises(BudgetExceeded, match="bootstrap charged 6 queries, limit 1"):
+            reconstruct(o, cfg)
 
 
 class TestAnswerCorrectness:

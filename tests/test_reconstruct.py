@@ -3,14 +3,12 @@ import random
 import pytest
 
 from sprec import (
+    BudgetExceeded,
     CATERPILLAR,
     DistanceOracle,
     FamilySpec,
     Graph,
-    GraphReconstructor,
-    KnownPrefix,
-    NaiveReconstructor,
-    NotFittedError,
+    LayeringTree,
     QueryPhase,
     RANDOM_TREE,
     RING_OF_CLIQUES,
@@ -18,9 +16,6 @@ from sprec import (
     ReconstructionError,
     build_layering,
     build_layering_tree,
-    extend_one_layer,
-    extend_partial_tree,
-    find_ancestor_part,
     generate,
     graphs_equal,
     max_degree,
@@ -28,8 +23,9 @@ from sprec import (
     reconstruct_naive,
     tree_length,
 )
+from sprec.reconstruct import _AncestorSearch, _grow_tree
 
-from .conftest import brute_anc, random_graph
+from .conftest import brute_anc, capped_tree, prefix_graph, random_graph
 
 
 def path(n):
@@ -63,27 +59,32 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_degree"):
             ReconstructionConfig(strict_budget=True).validate()
 
+    def test_zero_max_degree_fails_fast_beyond_one_vertex(self):
+        cfg = ReconstructionConfig(strict_budget=True, max_degree=0)
+        res = reconstruct(DistanceOracle(Graph(1)), cfg)
+        assert res.graph == Graph(1) and res.ledger.distinct_queries == 0
+        with pytest.raises(BudgetExceeded, match="bootstrap"):
+            reconstruct(DistanceOracle(path(3)), cfg)
+
 
 class TestKnownPrefix:
     def test_from_graph_keeps_only_shallow_edges(self):
         g = cycle(6)
         lay = build_layering(g, 0)
-        prefix = KnownPrefix.from_graph(g, lay, 3)
-        assert sorted(prefix.graph.edges()) == [(0, 1), (0, 5), (1, 2), (4, 5)]
+        prefix = prefix_graph(g, lay, 3)
+        assert sorted(prefix.edges()) == [(0, 1), (0, 5), (1, 2), (4, 5)]
 
 
 class TestFindAncestorPart:
     def test_single_capped_part_needs_no_queries(self):
         g = path(8)
         lay = build_layering(g, 0)
-        ell = 0
         k, i = 2, 4
-        tree = extend_partial_tree(g, lay, k, ell, prefix_layers=i)
-        prefix = KnownPrefix.from_graph(g, lay, i)
+        tree = capped_tree(g, lay, k, 0)
         o = DistanceOracle(g)
-        pid = find_ancestor_part(4, k, tree, prefix, o)
+        pid, cost, rounds = _AncestorSearch(tree, prefix_graph(g, lay, i)).locate(4, o)
         assert tree.parts[pid].vertices == (2,)
-        assert o.ledger.distinct_queries == 0
+        assert cost == rounds == o.ledger.distinct_queries == 0
 
     def test_matches_brute_force_on_500_random_instances(self):
         rng = random.Random(500)
@@ -99,12 +100,13 @@ class TestFindAncestorPart:
             full = build_layering_tree(g, lay)
             ell = tree_length(g, full)
             o = DistanceOracle(g)
+            tree = LayeringTree(g.n)
             for k in range(0, lay.num_layers - ell - 2):
                 i = k + ell + 2
-                tree = extend_partial_tree(g, lay, k, ell, prefix_layers=i)
-                prefix = KnownPrefix.from_graph(g, lay, i)
+                _grow_tree(tree, lay, g, k, ell)
+                search = _AncestorSearch(tree, prefix_graph(g, lay, i))
                 for x in lay.layers[i]:
-                    pid = find_ancestor_part(x, k, tree, prefix, o)
+                    pid, _, _ = search.locate(x, o)
                     expect = brute_anc(g, lay.depth, x, k)
                     assert frozenset(tree.parts[pid].vertices) == expect
                     checked += 1
@@ -112,29 +114,14 @@ class TestFindAncestorPart:
 
     def test_strict_budget_accepts_valid_runs(self):
         g, _ = generate(FamilySpec(CATERPILLAR, 40, 4, seed=3))
-        lay = build_layering(g, 0)
-        ell = 0
-        k = lay.num_layers - ell - 3
-        i = k + ell + 2
-        tree = extend_partial_tree(g, lay, k, ell, prefix_layers=i)
-        prefix = KnownPrefix.from_graph(g, lay, i)
-        o = DistanceOracle(g)
-        for x in lay.layers[i]:
-            find_ancestor_part(
-                x, k, tree, prefix, o, max_degree=4, strict_budget=True
-            )
-
-    def test_rejects_mismatched_cap(self):
-        g = path(8)
-        lay = build_layering(g, 0)
-        tree = extend_partial_tree(g, lay, 2, 0, prefix_layers=4)
-        prefix = KnownPrefix.from_graph(g, lay, 4)
-        with pytest.raises(ValueError, match="capped"):
-            find_ancestor_part(5, 3, tree, prefix, DistanceOracle(g))
+        cfg = ReconstructionConfig(ell=0, strict_budget=True, max_degree=4)
+        res = reconstruct(DistanceOracle(g), cfg)
+        assert graphs_equal(res.graph, g)
+        assert res.trace
+        limit = 4 ** 2 * ceil_log2(g.n)
+        assert all(row.max_ancestor_call_queries <= limit for row in res.trace)
 
     def test_pivot_descent_halves_the_part_set(self):
-        from sprec.reconstruct import _AncestorSearch
-
         rng = random.Random(88)
         for trial in range(20):
             g, _ = generate(FamilySpec(RANDOM_TREE, rng.randint(20, 80), 4, seed=trial))
@@ -144,12 +131,11 @@ class TestFindAncestorPart:
             if k < 1:
                 continue
             i = k + ell + 2
-            tree = extend_partial_tree(g, lay, k, ell, prefix_layers=i)
-            prefix = KnownPrefix.from_graph(g, lay, i)
-            search = _AncestorSearch(tree, prefix.graph)
+            tree = capped_tree(g, lay, k, ell)
+            search = _AncestorSearch(tree, prefix_graph(g, lay, i))
             o = DistanceOracle(g)
             for x in lay.layers[i]:
-                find_ancestor_part(x, k, tree, prefix, o, search=search)
+                search.locate(x, o)
             # every materialized split leaves components of at most half
             stack = [search._root]
             while stack:
@@ -163,38 +149,26 @@ class TestFindAncestorPart:
 
 
 class TestExtendOneLayer:
+    @staticmethod
+    def measured_ell(g):
+        return tree_length(g, build_layering_tree(g, build_layering(g, 0)))
+
     def test_path_finds_the_single_edge(self):
         g = path(10)
-        lay = build_layering(g, 0)
-        ell = 0
-        for i in range(ell + 2, lay.num_layers - 1):
-            k = i - ell - 2
-            tree = extend_partial_tree(g, lay, k, ell, prefix_layers=i)
-            prefix = KnownPrefix.from_graph(g, lay, i)
-            o = DistanceOracle(g)
-            out = extend_one_layer(prefix, tree, o)
-            assert out.known_layers == i + 1
-            assert out.graph == KnownPrefix.from_graph(g, lay, i + 1).graph
+        res = reconstruct(DistanceOracle(g), ReconstructionConfig(ell=0))
+        assert graphs_equal(res.graph, g)
+        # layer i adds only the edge (i - 1, i), found with one query
+        assert [row.layer for row in res.trace] == list(range(2, 10))
+        assert all(row.neighbor_queries == 1 for row in res.trace)
 
     def test_prefix_soundness_chain(self):
         rng = random.Random(77)
         for _ in range(25):
             n = rng.randint(6, 40)
             g = random_graph(rng, n, rng.randint(0, n // 2))
-            lay = build_layering(g, 0)
-            ell = tree_length(g, build_layering_tree(g, lay))
-            if lay.num_layers <= ell + 2:
-                continue
-            o = DistanceOracle(g)
-            i0 = ell + 2
-            prefix = KnownPrefix.from_graph(g, lay, i0)
-            tree = None
-            for i in range(i0, lay.num_layers):
-                tree = extend_partial_tree(
-                    prefix.graph, lay, i - ell - 2, ell, prefix_layers=i, base=tree
-                )
-                prefix = extend_one_layer(prefix, tree, o)
-                assert prefix.graph == KnownPrefix.from_graph(g, lay, i + 1).graph
+            ell = self.measured_ell(g)
+            res = reconstruct(DistanceOracle(g), ReconstructionConfig(ell=ell))
+            assert graphs_equal(res.graph, g)
 
     def test_edges_match_hidden_on_500_instances(self):
         rng = random.Random(1234)
@@ -207,16 +181,11 @@ class TestExtendOneLayer:
                 g, _ = generate(FamilySpec(CATERPILLAR, rng.randint(10, 40), 5, seed=trial))
             else:
                 g = random_graph(rng, rng.randint(10, 40), rng.randint(0, 5))
-            lay = build_layering(g, 0)
-            ell = tree_length(g, build_layering_tree(g, lay))
-            if lay.num_layers <= ell + 2:
-                continue
-            i = ell + 2
-            tree = extend_partial_tree(g, lay, 0, ell, prefix_layers=i)
-            prefix = KnownPrefix.from_graph(g, lay, i)
-            out = extend_one_layer(prefix, tree, DistanceOracle(g))
-            assert out.graph == KnownPrefix.from_graph(g, lay, i + 1).graph
-            done += 1
+            ell = self.measured_ell(g)
+            res = reconstruct(DistanceOracle(g), ReconstructionConfig(ell=ell))
+            assert graphs_equal(res.graph, g)
+            if res.trace:
+                done += 1
         assert done >= 400  # a few instances are shallow enough to skip
 
     def test_ring_of_cliques_is_covered_by_bootstrap(self):
@@ -233,14 +202,6 @@ class TestExtendOneLayer:
             res = reconstruct(DistanceOracle(g), ReconstructionConfig(ell=ell))
             assert graphs_equal(res.graph, g)
             assert res.trace == ()
-
-    def test_shallow_prefix_rejected(self):
-        g = cycle(6)
-        lay = build_layering(g, 0)
-        tree = extend_partial_tree(g, lay, 0, 2, prefix_layers=4)
-        prefix = KnownPrefix.from_graph(g, lay, 4)
-        with pytest.raises(ValueError, match="every layer"):
-            extend_one_layer(prefix, tree, DistanceOracle(g))
 
 
 class TestReconstruct:
@@ -380,63 +341,3 @@ class TestNaive:
             res = reconstruct(DistanceOracle(g), ReconstructionConfig(ell=ell))
             assert graphs_equal(naive, res.graph)
             assert graphs_equal(naive, g)
-
-
-class TestEstimators:
-    def test_fit_on_graph_builds_oracle(self):
-        g, _ = generate(FamilySpec(RANDOM_TREE, 40, 4, seed=2))
-        est = GraphReconstructor(tau=1).fit(g)
-        assert graphs_equal(est.graph_, g)
-        assert est.n_queries_ == est.ledger_.distinct_queries
-        assert est.ell_ == 3
-
-    def test_fit_on_oracle(self):
-        g = cycle(6)
-        o = DistanceOracle(g)
-        est = GraphReconstructor(ell=2).fit(o)
-        assert est.oracle_ is o
-        assert graphs_equal(est.graph_, g)
-
-    def test_predict_edge_membership(self):
-        g = cycle(6)
-        est = GraphReconstructor(ell=2).fit(g)
-        assert est.predict([(0, 1), (0, 3), (5, 0)]) == [True, False, True]
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(NotFittedError):
-            GraphReconstructor().predict([(0, 1)])
-
-    def test_get_set_params_round_trip(self):
-        est = GraphReconstructor(tau=2, strict_budget=False)
-        params = est.get_params()
-        assert params == {
-            "tau": 2,
-            "ell": None,
-            "strict_budget": False,
-            "max_degree": None,
-        }
-        est.set_params(tau=1, ell=4)
-        assert est.tau == 1 and est.ell == 4
-
-    def test_set_params_rejects_unknown(self):
-        with pytest.raises(ValueError, match="invalid parameter"):
-            GraphReconstructor().set_params(gamma=3)
-
-    def test_clone_via_params(self):
-        est = GraphReconstructor(tau=3, max_degree=5)
-        clone = GraphReconstructor(**est.get_params())
-        assert clone.get_params() == est.get_params()
-
-    def test_repr_mentions_params(self):
-        assert "tau=2" in repr(GraphReconstructor(tau=2))
-
-    def test_naive_estimator(self):
-        g = cycle(6)
-        est = NaiveReconstructor().fit(g)
-        assert graphs_equal(est.graph_, g)
-        assert est.n_queries_ == 15
-        assert est.predict([(2, 3)]) == [True]
-
-    def test_fit_rejects_foreign_input(self):
-        with pytest.raises(TypeError):
-            GraphReconstructor().fit([[0, 1], [1, 0]])
