@@ -4,26 +4,30 @@ The oracle answers d(u, v) exactly and charges one distinct-query credit per
 unordered pair, no matter how often the pair is re-asked. Every charged query
 is attributed to a phase so budgets can be checked per algorithm stage.
 
+The hidden side runs one level-by-level BFS that can stop early: a batch of
+targets grows a ball around its source only until every target is reached,
+and a single query that no cached ball answers grows a complete row. Rows are
+memoized per source under a fixed memory budget.
+
 One oracle serves one reconstruction run; concurrent runs each get their own.
 """
 
 from __future__ import annotations
 
 import io
-from collections import OrderedDict, deque
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-import numpy as np
+from .graph import Graph, is_connected
 
-from .graph import Graph, is_connected, max_degree
-
-# Below this size a plain deque BFS beats the vectorized one.
-_NUMPY_MIN_N = 1024
 # Memory budget for memoized per-source distance rows; answers stay exact
-# under eviction, only recomputation cost is affected.
+# under eviction, only recomputation cost is affected. A dense row costs 4
+# bytes per vertex, a sparse one about 64 bytes per entry.
 _ROW_CACHE_BYTES = 128 << 20
+_SPARSE_ENTRY_BYTES = 64
 
 
 class QueryPhase(Enum):
@@ -57,10 +61,16 @@ class QueryLedger:
 class DistanceOracle:
     """Simulates shortest-path distance queries against a hidden graph.
 
-    Answers are memoized per unordered pair; distances are produced by
-    per-source BFS rows memoized per source vertex (never a precomputed
-    all-pairs table). The first argument of query() is the BFS side, so
-    callers that reuse one endpoint across many queries should pass it first.
+    Answers are memoized per unordered pair. Distances come from per-source
+    rows (never a precomputed all-pairs table). A row is a BFS ball around
+    its source: exact for every vertex it holds and holding every vertex up
+    to its radius; a complete row holds the whole graph. Rows smaller than
+    n/16 are dicts, larger ones int arrays with -1 beyond the radius.
+
+    query(u, v) answers from u's row, else from v's row, else builds u's
+    complete row, so callers that reuse one endpoint across many queries
+    should pass it first. batch_distances_from(s, ...) grows s's ball only
+    as far as its farthest uncached target.
     """
 
     def __init__(self, hidden: Graph, log_queries: bool = False):
@@ -72,28 +82,14 @@ class DistanceOracle:
         self.n = hidden.n
         self.ledger = QueryLedger(log=[] if log_queries else None)
         self._pair_cache: dict[tuple[int, int], int] = {}
-        self._rows: OrderedDict[int, object] = OrderedDict()
-        self._max_rows = max(64, _ROW_CACHE_BYTES // max(1, 4 * hidden.n))
-        deg_cap = max_degree(hidden)
-        # Large graphs of degree at most 32 get the padded numpy BFS; every
-        # other graph gets the deque BFS.
-        self._padded = hidden.n >= _NUMPY_MIN_N and deg_cap <= 32
-        if self._padded:
-            # Row v holds v's neighbors padded with v itself; a visited
-            # vertex never re-enters a frontier, so pads filter out free.
-            pad = np.empty((hidden.n, max(deg_cap, 1)), dtype=np.int32)
-            for v in range(hidden.n):
-                pad[v, :] = v
-                a = hidden.adj[v]
-                pad[v, : len(a)] = a
-            self._pad_adj = pad
-            self._claim = np.empty(hidden.n, dtype=np.int64)
+        self._rows: OrderedDict[int, dict[int, int] | array] = OrderedDict()
+        self._row_bytes = 0
 
     # -- query surface ----------------------------------------------------
 
     def query(self, u: int, v: int, phase: QueryPhase) -> int:
         if not isinstance(phase, QueryPhase):
-            raise TypeError(f"phase must be a QueryPhase, got {phase!r}")
+            raise _phase_error(phase)
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex pair ({u},{v}) out of range for n={self.n}")
         ledger = self.ledger
@@ -115,10 +111,30 @@ class DistanceOracle:
     def batch_distances_from(
         self, s: int, targets: Iterable[int], phase: QueryPhase
     ) -> dict[int, int]:
-        """Distances from s to each target; accounting identical to a query loop."""
-        targets = sorted(set(targets))
-        if targets:
-            self._ensure_row(s)
+        """Distances from s to each target, in first-seen target order.
+
+        Accounting is identical to calling query(s, t) for each distinct
+        target in order; the hidden side grows s's ball once, only as far
+        as the farthest target whose pair is not cached yet.
+        """
+        if not isinstance(phase, QueryPhase):
+            raise _phase_error(phase)
+        n = self.n
+        if not 0 <= s < n:
+            raise ValueError(f"source {s} out of range for n={n}")
+        targets = list(dict.fromkeys(targets))
+        for t in targets:
+            if not 0 <= t < n:
+                raise ValueError(f"vertex pair ({s},{t}) out of range for n={n}")
+        cache = self._pair_cache
+        want = [
+            t for t in targets
+            if t != s and ((s, t) if s < t else (t, s)) not in cache
+        ]
+        if want:
+            row = self._rows.get(s)
+            if row is None or any(_held(row, t) < 0 for t in want):
+                self._store(s, self._bfs(s, want))
         return {t: self.query(s, t, phase) for t in targets}
 
     def write_query_log(self, out: io.TextIOBase) -> None:
@@ -131,58 +147,77 @@ class DistanceOracle:
     # -- hidden-side distance computation ---------------------------------
 
     def _distance(self, u: int, v: int) -> int:
-        row = self._rows.get(u)
+        rows = self._rows
+        row = rows.get(u)
         if row is not None:
-            self._rows.move_to_end(u)
-            return int(row[v])
-        row = self._rows.get(v)
+            d = row.get(v, -1) if type(row) is dict else row[v]
+            if d >= 0:
+                rows.move_to_end(u)
+                return d
+        row = rows.get(v)
         if row is not None:
-            self._rows.move_to_end(v)
-            return int(row[u])
-        return int(self._ensure_row(u)[v])
+            d = row.get(u, -1) if type(row) is dict else row[u]
+            if d >= 0:
+                rows.move_to_end(v)
+                return d
+        return self._store(u, self._bfs(u, None))[v]
 
-    def _ensure_row(self, s: int):
-        row = self._rows.get(s)
-        if row is not None:
-            self._rows.move_to_end(s)
-            return row
-        row = self._bfs_padded(s) if self._padded else self._bfs_python(s)
-        self._rows[s] = row
-        if len(self._rows) > self._max_rows:
-            self._rows.popitem(last=False)
+    def _bfs(self, s: int, want: list[int] | None) -> dict[int, int]:
+        """Distances from s, level by level, out to the first level that
+        reaches every vertex of want; want=None runs to completion."""
+        adj = self.hidden.adj
+        dist = {s: 0}
+        frontier = [s]
+        pending = want[:] if want is not None else None
+        d = 0
+        while frontier:
+            if pending is not None:
+                while pending and pending[-1] in dist:
+                    pending.pop()
+                if not pending:
+                    break
+            d += 1
+            nxt = []
+            for x in frontier:
+                for w in adj[x]:
+                    if w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        return dist
+
+    def _store(self, s: int, dist: dict[int, int]) -> dict[int, int] | array:
+        """Cache dist as s's row, replacing any smaller ball of s, then evict
+        least recently used rows while the cache is over its budget."""
+        n = self.n
+        if 16 * len(dist) < n:
+            row: dict[int, int] | array = dist
+        else:
+            row = array("i", [-1]) * n
+            for v, d in dist.items():
+                row[v] = d
+        rows = self._rows
+        old = rows.pop(s, None)
+        if old is not None:
+            self._row_bytes -= _row_bytes(old)
+        rows[s] = row
+        self._row_bytes += _row_bytes(row)
+        while self._row_bytes > _ROW_CACHE_BYTES and len(rows) > 1:
+            _, old = rows.popitem(last=False)
+            self._row_bytes -= _row_bytes(old)
         return row
 
-    def _bfs_python(self, s: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[s] = 0
-        queue = deque([s])
-        adj = self.hidden.adj
-        while queue:
-            x = queue.popleft()
-            dx = dist[x] + 1
-            for w in adj[x]:
-                if dist[w] < 0:
-                    dist[w] = dx
-                    queue.append(w)
-        return dist
 
-    def _bfs_padded(self, s: int) -> np.ndarray:
-        pad = self._pad_adj
-        claim = self._claim
-        dist = np.full(self.n, -1, dtype=np.int32)
-        dist[s] = 0
-        frontier = np.array([s], dtype=np.int64)
-        d = 0
-        while frontier.size:
-            cand = pad[frontier].reshape(-1)
-            fresh = cand[dist[cand] < 0]
-            if fresh.size == 0:
-                break
-            # Deduplicate without sorting: last writer wins, and every read
-            # position was written in this level, so stale values are inert.
-            order = np.arange(fresh.size, dtype=np.int64)
-            claim[fresh] = order
-            frontier = fresh[claim[fresh] == order]
-            d += 1
-            dist[frontier] = d
-        return dist
+def _phase_error(phase: object) -> TypeError:
+    return TypeError(f"phase must be a QueryPhase, got {phase!r}")
+
+
+def _held(row: dict[int, int] | array, v: int) -> int:
+    """Distance to v if the row holds v, else -1."""
+    return row.get(v, -1) if type(row) is dict else row[v]
+
+
+def _row_bytes(row: dict[int, int] | array) -> int:
+    if type(row) is dict:
+        return _SPARSE_ENTRY_BYTES * len(row)
+    return row.itemsize * len(row)

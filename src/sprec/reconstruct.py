@@ -321,7 +321,7 @@ def _extend_layer(
                 f"part-growth bound {cand_limit}; the diameter bound is "
                 "likely too small"
             )
-        v_before = ledger.distinct_queries
+        targets = []
         for u in chain(cand_prev, cand_cur):
             if u == v:
                 continue
@@ -329,8 +329,15 @@ def _extend_layer(
             if key in seen_pairs:
                 continue
             seen_pairs.add(key)
-            if oracle.query(v, u, QueryPhase.NEIGHBOR_SEARCH) == 1:
-                builder.add_edge(*key)
+            targets.append(u)
+        v_before = ledger.distinct_queries
+        # One batch per vertex: the oracle grows v's BFS ball only as far as
+        # its farthest candidate. Edges go in in target order, which keeps the
+        # builder's adjacency order, and so part ids and pivots, unchanged.
+        dist = oracle.batch_distances_from(v, targets, QueryPhase.NEIGHBOR_SEARCH)
+        for u in targets:
+            if dist[u] == 1:
+                builder.add_edge(min(u, v), max(u, v))
         v_used = ledger.distinct_queries - v_before
         if strict and v_used > cand_limit:
             raise BudgetExceeded(

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +207,24 @@ class TestBench:
             main(args + [flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        # python -m sprec.cli must parse its arguments like the sprec script
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "sprec.cli", "bench", "--family",
+                "random-tree", "--sizes", "16", "--delta", "4",
+                "--out", str(tmp_path / "bench.csv"), "--repeats", "0",
+            ],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "argument --repeats: expected a positive integer" in proc.stderr
 
     def test_single_vertex_size(self, tmp_path):
         out = tmp_path / "bench.csv"

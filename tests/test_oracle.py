@@ -1,8 +1,12 @@
 import io
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import sprec.oracle as oracle_module
 from sprec import (
     BudgetExceeded,
     DistanceOracle,
@@ -89,6 +93,115 @@ class TestBatch:
         o = DistanceOracle(cycle(6))
         assert o.batch_distances_from(0, {3, 4}, ANC) == {3: 3, 4: 2}
 
+    def test_targets_keep_first_seen_order(self):
+        o = DistanceOracle(path(6), log_queries=True)
+        out = o.batch_distances_from(2, [5, 0, 5, 2, 1], ANC)
+        assert list(out.items()) == [(5, 3), (0, 2), (2, 0), (1, 1)]
+        assert [(u, v) for u, v, _, _ in o.ledger.log] == [(2, 5), (2, 0), (2, 1)]
+        # one call per distinct target, the self-pair included
+        assert o.ledger.raw_calls == 4
+
+    @pytest.mark.parametrize("s", [3, 5, -1])
+    def test_source_out_of_range(self, s):
+        o = DistanceOracle(path(3))
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            o.batch_distances_from(s, [0, 1], ANC)
+        assert o._rows == {} and o.ledger.raw_calls == 0
+
+    def test_target_out_of_range_charges_nothing(self):
+        o = DistanceOracle(path(3))
+        with pytest.raises(ValueError, match=r"vertex pair \(0,3\) out of range"):
+            o.batch_distances_from(0, [1, 3], ANC)
+        assert o._rows == {} and o.ledger.raw_calls == 0
+
+    def test_phase_must_be_enum(self):
+        o = DistanceOracle(path(3))
+        with pytest.raises(TypeError, match="phase must be a QueryPhase"):
+            o.batch_distances_from(0, [1, 2], "bootstrap")
+        assert o._rows == {} and o.ledger.raw_calls == 0
+
+
+class TestTruncatedBalls:
+    """A batch grows its source's ball only to its farthest uncached target;
+    every later answer must still be exact."""
+
+    def test_query_beyond_a_truncated_ball(self):
+        o = DistanceOracle(path(40))
+        assert o.batch_distances_from(0, [2], ANC) == {2: 2}
+        assert oracle_module._held(o._rows[0], 30) == -1  # a ball, not a row
+        assert o.query(0, 30, ANC) == 30
+        assert o.query(25, 0, ANC) == 25
+
+    def test_later_batch_beyond_the_ball(self):
+        o = DistanceOracle(path(40))
+        assert o.batch_distances_from(0, [3], ANC) == {3: 3}
+        assert o.batch_distances_from(0, [20, 1, 3], ANC) == {20: 20, 1: 1, 3: 3}
+        assert o.batch_distances_from(39, [0, 38], ANC) == {0: 39, 38: 1}
+
+    def test_other_endpoint_ball_answers_only_what_it_holds(self):
+        o = DistanceOracle(path(40))
+        o.batch_distances_from(10, [12], ANC)  # ball of radius 2 around 10
+        assert o.query(12, 10, ANC) == 2
+        assert o.query(30, 10, ANC) == 20
+
+    def test_forced_eviction(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", 0)
+        rng = random.Random(3)
+        g = random_graph(rng, 300, 150)
+        table = brute_all_pairs(g)
+        o = DistanceOracle(g)
+        for _ in range(60):
+            s = rng.randrange(g.n)
+            targets = rng.sample(range(g.n), 5)
+            out = o.batch_distances_from(s, targets, ANC)
+            assert out == {t: table[s][t] for t in targets}
+            u, v = rng.randrange(g.n), rng.randrange(g.n)
+            assert o.query(u, v, ANC) == table[u][v]
+            assert len(o._rows) == 1  # only the newest row survives
+
+
+@st.composite
+def interleaved_calls(draw, n_range):
+    n = draw(st.integers(*n_range))
+    seed = draw(st.integers(0, 2**32 - 1))
+    extra = draw(st.integers(0, n // 2))
+    vertex = st.integers(0, n - 1)
+    call = st.one_of(
+        st.tuples(st.just("batch"), vertex, st.lists(vertex, max_size=12)),
+        st.tuples(st.just("query"), vertex, vertex),
+    )
+    calls = draw(st.lists(call, min_size=1, max_size=40))
+    # the default row budget, none at all, or room for four dense rows
+    budget = draw(st.sampled_from([oracle_module._ROW_CACHE_BYTES, 0, 16 * n]))
+    return random_graph(random.Random(seed), n, extra), calls, budget
+
+
+def check_interleaved(graph, calls, budget):
+    table = brute_all_pairs(graph)
+    o = DistanceOracle(graph)
+    with mock.patch.object(oracle_module, "_ROW_CACHE_BYTES", budget):
+        for kind, a, b in calls:
+            if kind == "batch":
+                out = o.batch_distances_from(a, b, ANC)
+                assert out == {t: table[a][t] for t in b}
+            else:
+                assert o.query(a, b, ANC) == table[a][b]
+                assert o.query(b, a, ANC) == table[b][a]
+
+
+class TestInterleavedProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(interleaved_calls((2, 200)))
+    def test_small_graphs(self, case):
+        check_interleaved(*case)
+
+    @settings(
+        max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(interleaved_calls((1024, 1300)))
+    def test_large_graphs(self, case):
+        check_interleaved(*case)
+
 
 class TestBudget:
     """Strict runs compare the oracle's per-phase ledger with each budget."""
@@ -127,8 +240,8 @@ class TestAnswerCorrectness:
                 u, v = rng.randrange(n), rng.randrange(n)
                 assert o.query(u, v, ANC) == table[u][v]
 
-    def test_matches_table_on_vectorized_path(self):
-        # n >= 1024 exercises the numpy BFS
+    def test_complete_row_matches_plain_bfs_on_large_graph(self):
+        # n >= 1024, the size of the benchmark instances
         rng = random.Random(5)
         g = random_graph(rng, 1500, 900)
         o = DistanceOracle(g)
