@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("reconstruct", help="reconstruct a graph file via queries")
     p_rec.add_argument("graph", help="edge-list file of the hidden graph")
-    p_rec.add_argument("--tau", type=int, default=1, help="treelength bound")
+    p_rec.add_argument("--tau", type=_positive_int, default=1, help="treelength bound")
     p_rec.add_argument("--ell", type=int, default=None, help="direct diameter bound")
     p_rec.add_argument(
         "--ell-from-truth",
@@ -320,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--delta", type=int, required=True)
     p_bench.add_argument("--k", type=int, default=None)
     p_bench.add_argument("--clique-size", type=int, default=None)
-    p_bench.add_argument("--tau", type=int, default=1)
+    p_bench.add_argument("--tau", type=_positive_int, default=1)
     p_bench.add_argument("--ell-from-truth", action="store_true")
     p_bench.add_argument("--repeats", type=_positive_int, default=1)
     p_bench.add_argument("--seed", type=int, default=0, help="base seed")

@@ -15,7 +15,7 @@ agree exactly on the layers they share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph import (
     Graph,
@@ -91,9 +91,15 @@ class LayeringTree:
 
     Part ids are assigned in (layer, min vertex id) order, so ids of a capped
     tree match the ids of the full tree truncated at the same depth.
+
+    Growth keeps, per part, the number of parts in its subtree (`size`), the
+    number and id sum of its capped-layer descendants (valid while
+    `cap_seen` equals `cap`), and a skew-binary jump pointer (Myers, 1983),
+    so subtree sizes are O(1) reads and level ancestors take O(log n) steps.
     """
 
-    __slots__ = ("parts", "parent", "children", "vertex_to_part", "layer_parts", "cap")
+    __slots__ = ("parts", "parent", "children", "vertex_to_part", "layer_parts", "cap",
+                 "size", "jump", "cap_count", "cap_sum", "cap_seen")
 
     def __init__(self, n: int):
         self.parts: list[Part] = []
@@ -102,6 +108,11 @@ class LayeringTree:
         self.vertex_to_part: list[int] = [-1] * n
         self.layer_parts: list[list[int]] = []
         self.cap = -1
+        self.size: list[int] = []
+        self.jump: list[int] = []
+        self.cap_count: list[int] = []
+        self.cap_sum: list[int] = []
+        self.cap_seen: list[int] = []
 
     def parts_at(self, layer: int) -> list[int]:
         return self.layer_parts[layer]
@@ -111,6 +122,25 @@ class LayeringTree:
         if self.parent[part_id] >= 0:
             out.append(self.parent[part_id])
         return out
+
+    def ancestor_at(self, pid: int, layer: int) -> int:
+        """Ancestor of part pid at `layer` (pid itself at its own layer)."""
+        parts, jump = self.parts, self.jump
+        while parts[pid].layer > layer:
+            j = jump[pid]
+            pid = j if parts[j].layer >= layer else self.parent[pid]
+        return pid
+
+    def is_under(self, pid: int, top: int) -> bool:
+        """Whether part pid lies in the subtree rooted at part top."""
+        layer = self.parts[top].layer
+        return self.parts[pid].layer >= layer and self.ancestor_at(pid, layer) == top
+
+    def caps_below(self, pid: int) -> tuple[int, int]:
+        """(count, id sum) of the capped-layer parts in pid's subtree."""
+        if self.cap_seen[pid] != self.cap:
+            return 0, 0
+        return self.cap_count[pid], self.cap_sum[pid]
 
     # -- growth ------------------------------------------------------------
 
@@ -157,12 +187,39 @@ class LayeringTree:
                     )
                 self.parent.append(parent_pid)
                 self.children[parent_pid].append(pid)
+            self._count_leaf(pid, k)
             for u in vs:
                 self.vertex_to_part[u] = pid
             new_ids.append(pid)
         self.layer_parts.append(new_ids)
         self.cap = k
         return new_ids
+
+    def _count_leaf(self, pid: int, k: int) -> None:
+        """Set the jump pointer of new leaf pid and count it in every ancestor."""
+        parent, jump, parts = self.parent, self.jump, self.parts
+        p = parent[pid]
+        if p < 0:
+            jump.append(pid)
+        else:
+            j = jump[p]
+            mid = parts[j].layer
+            even = parts[p].layer - mid == mid - parts[jump[j]].layer
+            jump.append(jump[j] if even else p)
+        self.size.append(1)
+        self.cap_count.append(1)
+        self.cap_sum.append(pid)
+        self.cap_seen.append(k)
+        size, count, total, seen = self.size, self.cap_count, self.cap_sum, self.cap_seen
+        while p >= 0:
+            size[p] += 1
+            if seen[p] != k:
+                seen[p] = k
+                count[p] = 0
+                total[p] = 0
+            count[p] += 1
+            total[p] += pid
+            p = parent[p]
 
 
 def build_layering_tree(g: GraphLike, layering: Layering) -> LayeringTree:
@@ -229,48 +286,40 @@ def tree_length(g: GraphLike, tree: LayeringTree) -> int:
     return best
 
 
-def centroid(tree: LayeringTree, part_ids: Iterable[int]) -> int:
-    """Part whose removal splits the induced subtree into halves or smaller.
+def centroid(tree: LayeringTree, top: int, excluded: tuple[int, ...], start: int) -> int:
+    """Centroid of the part subtree rooted at `top` minus the subtrees rooted
+    at `excluded` (parts of top's subtree, none below another).
 
-    The subset must induce a connected subtree. Ties break to the smallest
-    part id; for subsets of three or more parts the winner is always an
-    internal vertex of the subtree (a leaf would leave a component larger
-    than half).
+    Returns the part whose removal leaves the smallest largest component,
+    ties to the smallest id; it leaves components of at most half. The walk
+    starts at `start`, a part of the subtree, and steps into the component
+    larger than half while there is one, so its cost grows with the
+    distance to the centroid, not with the size of the subtree. A tree has
+    one centroid or two adjacent ones, split by an edge into equal halves.
     """
-    subset = set(part_ids)
-    if not subset:
-        raise ValueError("part subset must be nonempty")
-    start = min(subset)
-    order: list[int] = [start]
-    parent_of: dict[int, int] = {start: -1}
-    idx = 0
-    while idx < len(order):
-        pid = order[idx]
-        idx += 1
-        for q in tree.tree_neighbors(pid):
-            if q in subset and q not in parent_of:
-                parent_of[q] = pid
-                order.append(q)
-    if len(order) != len(subset):
-        raise ValueError("part subset is not connected in the tree")
-    total = len(subset)
-    size = {pid: 1 for pid in subset}
-    for pid in reversed(order[1:]):
-        size[parent_of[pid]] += size[pid]
-    best_pid = -1
-    best_worst = total + 1
-    for pid in sorted(subset):
-        worst = total - size[pid]
-        for q in tree.children[pid]:
-            if q in subset:
-                worst = max(worst, size[q])
-        if worst < best_worst:
-            best_worst = worst
-            best_pid = pid
-    if best_worst > total // 2:
-        raise LayeringInvariantError("no half-splitting part found in a tree")
-    if total >= 3:
-        deg = sum(1 for q in tree.tree_neighbors(best_pid) if q in subset)
-        if deg < 2:
-            raise LayeringInvariantError("half-splitting part of a 3+ subtree must be internal")
-    return best_pid
+    size, parent, children = tree.size, tree.parent, tree.children
+
+    def inner(pid: int) -> int:
+        return size[pid] - sum(size[r] for r in excluded if tree.is_under(r, pid))
+
+    total = inner(top)
+    v = start
+    while True:
+        up = total - inner(v)
+        if 2 * up > total:
+            v = parent[v]
+            continue
+        heavy = -1
+        twin = parent[v] if up and 2 * up == total else -1
+        for c in children[v]:
+            if c in excluded:
+                continue
+            s = inner(c)
+            if 2 * s > total:
+                heavy = c
+                break
+            if 2 * s == total:
+                twin = c
+        if heavy < 0:
+            return v if twin < 0 else min(v, twin)
+        v = heavy

@@ -100,65 +100,74 @@ class ReconstructionResult:
     root: int
 
 
-class _SearchNode:
-    __slots__ = ("part_ids", "cap_count", "sole_cap_part", "pivot",
-                 "pivot_neighbors", "child_by_part")
+class _PivotNode:
+    """Connected part subtree: the parts below `top` minus those below any
+    root in `excluded`. Appending leaf parts never changes which subtree a
+    node names, so its pivot and children carry over to the next layer."""
 
-    def __init__(self, part_ids: set[int], cap_count: int, sole_cap_part: int):
-        self.part_ids = part_ids
-        self.cap_count = cap_count
-        self.sole_cap_part = sole_cap_part
-        self.pivot: int | None = None
-        self.pivot_neighbors: list[int] | None = None
-        self.child_by_part: dict[int, "_SearchNode"] | None = None
+    __slots__ = ("top", "excluded", "layer", "size", "cap_count", "sole_cap_part",
+                 "pivot", "kids")
+
+    def __init__(self, top: int, excluded: tuple[int, ...]):
+        self.top = top
+        self.excluded = excluded
+        self.layer = -1  # cap layer the fields below were computed for
+        self.size = self.cap_count = self.sole_cap_part = 0
+        self.pivot = -1
+        self.kids: dict[int, _PivotNode] = {}  # by the kid's top; -1 above the pivot
 
 
 class _AncestorSearch:
-    """Shared pivot tree for locating capped-layer ancestors of new vertices.
+    """Pivot tree for locating capped-layer ancestors of new vertices.
 
-    Pivots are centroids, so each descent halves the candidate part set; the
-    pivot tree is materialized lazily and shared by every vertex of a layer,
-    which keeps the per-vertex work proportional to the queries it issues.
+    One search serves a whole run. Each node's pivot is the centroid of its
+    part subtree, so each round halves the candidate part set. On the first
+    visit in a layer a node recounts its parts from the tree's subtree
+    counts and re-finds its centroid by a walk from its previous pivot (for
+    a new node, from the last pivot at its depth if that lies inside, else
+    from its top). Appended leaves move a centroid only a little, so the
+    walk is short; the node keeps its children while its pivot stays. Pivot
+    neighbourhoods are read once per part: a part becomes a pivot only after
+    the layer below it is complete, so its edges are all known by then.
     """
 
     def __init__(self, tree: LayeringTree, prefix_graph: GraphLike):
         self.tree = tree
         self.prefix_graph = prefix_graph
-        self.cap = tree.cap
-        cap_parts = tree.parts_at(self.cap)
-        self._root = _SearchNode(
-            set(range(len(tree.parts))),
-            len(cap_parts),
-            cap_parts[0] if len(cap_parts) == 1 else -1,
-        )
+        self._root = _PivotNode(0, ())
+        self._hints: list[int] = []
+        self._neighbors: dict[int, list[int]] = {}
 
     def locate(self, x: int, oracle: DistanceOracle) -> tuple[int, int, int]:
         """Capped-layer ancestor part of x, plus (distinct queries, rounds).
 
-        Each round pivots on a centroid of the remaining part subtree, queries
-        x against the pivot's graph neighborhood and keeps the side of the
-        nearest neighbor (ties to the smallest id), until one capped part is left.
+        Each round queries x against the pivot's graph neighborhood and keeps
+        the side of the nearest neighbor (ties to the smallest id), until one
+        capped part is left.
         """
         tree = self.tree
         ledger = oracle.ledger
         before = ledger.distinct_queries
         rounds = 0
         node = self._root
-        while node.cap_count != 1:
+        while True:
+            if node.layer != tree.cap:
+                self._refresh(node, rounds)
+            if node.cap_count == 1:
+                return node.sole_cap_part, ledger.distinct_queries - before, rounds
             if node.cap_count == 0:
                 raise InvariantViolation(
                     "descent reached a subtree with no capped-layer part; "
                     "the configured diameter bound is likely too small"
                 )
-            if len(node.part_ids) < 3:
+            if node.size < 3:
                 raise InvariantViolation(
                     "two capped-layer parts without a connecting internal part"
                 )
-            self._ensure_pivot(node)
             rounds += 1
             best_w = -1
             best_d = -1
-            for w in node.pivot_neighbors:
+            for w in self._neighbors[node.pivot]:
                 # w first: every vertex of the layer probes the same pivot
                 # neighborhoods, so the oracle's per-source rows get reused.
                 d = oracle.query(w, x, QueryPhase.ANCESTOR_SEARCH)
@@ -171,53 +180,65 @@ class _AncestorSearch:
                 raise InvariantViolation(
                     f"nearest pivot neighbor {best_w} lies outside the capped tree"
                 )
-            self._ensure_split(node)
-            child = node.child_by_part.get(wp)
-            if child is None:
-                raise InvariantViolation(
-                    "nearest pivot neighbor points outside the current subtree"
-                )
-            node = child
-        return node.sole_cap_part, ledger.distinct_queries - before, rounds
+            node = self._kid(node, wp)
 
-    def _ensure_pivot(self, node: _SearchNode) -> None:
-        if node.pivot is not None:
-            return
-        pid = centroid(self.tree, node.part_ids)
-        node.pivot = pid
-        w = neighbors_of_set(self.prefix_graph, self.tree.parts[pid].vertices)
-        node.pivot_neighbors = sorted(w)
-
-    def _ensure_split(self, node: _SearchNode) -> None:
-        if node.child_by_part is not None:
-            return
+    def _holds(self, node: _PivotNode, pid: int) -> bool:
         tree = self.tree
-        cap = self.cap
-        remaining = node.part_ids - {node.pivot}
-        child_by_part: dict[int, _SearchNode] = {}
-        visited: set[int] = set()
-        for start in sorted(remaining):
-            if start in visited:
-                continue
-            comp: list[int] = [start]
-            visited.add(start)
-            stack = [start]
-            while stack:
-                q = stack.pop()
-                for r in tree.tree_neighbors(q):
-                    if r in remaining and r not in visited:
-                        visited.add(r)
-                        comp.append(r)
-                        stack.append(r)
-            cap_parts = [q for q in comp if tree.parts[q].layer == cap]
-            child = _SearchNode(
-                set(comp),
-                len(cap_parts),
-                cap_parts[0] if len(cap_parts) == 1 else -1,
+        return tree.is_under(pid, node.top) and not any(
+            tree.is_under(pid, r) for r in node.excluded
+        )
+
+    def _refresh(self, node: _PivotNode, depth: int) -> None:
+        """Recount the node for the current cap; re-find its pivot if it needs one."""
+        tree = self.tree
+        node.layer = tree.cap
+        size = tree.size[node.top]
+        count, total = tree.caps_below(node.top)
+        for r in node.excluded:
+            c, t = tree.caps_below(r)
+            size -= tree.size[r]
+            count -= c
+            total -= t
+        node.size, node.cap_count, node.sole_cap_part = size, count, total
+        if count < 2 or size < 3:
+            return
+        hints = self._hints
+        start = node.pivot
+        if start < 0:
+            start = hints[depth] if depth < len(hints) else -1
+            if start < 0 or not self._holds(node, start):
+                start = node.top
+        pivot = centroid(tree, node.top, node.excluded, start)
+        if pivot != node.pivot:
+            node.pivot = pivot
+            node.kids = {}
+        if depth < len(hints):
+            hints[depth] = pivot
+        else:
+            hints.append(pivot)
+        if pivot not in self._neighbors:
+            w = neighbors_of_set(self.prefix_graph, tree.parts[pivot].vertices)
+            self._neighbors[pivot] = sorted(w)
+
+    def _kid(self, node: _PivotNode, wp: int) -> _PivotNode:
+        """The component of node minus its pivot that holds part wp."""
+        tree = self.tree
+        p = node.pivot
+        if wp == p or not self._holds(node, wp):
+            raise InvariantViolation(
+                "nearest pivot neighbor points outside the current subtree"
             )
-            for q in comp:
-                child_by_part[q] = child
-        node.child_by_part = child_by_part
+        below = tree.is_under(wp, p)
+        key = tree.ancestor_at(wp, tree.parts[p].layer + 1) if below else -1
+        kid = node.kids.get(key)
+        if kid is None:
+            if below:
+                kid = _PivotNode(key, tuple(r for r in node.excluded if tree.is_under(r, key)))
+            else:
+                rest = tuple(r for r in node.excluded if not tree.is_under(r, p))
+                kid = _PivotNode(node.top, rest + (p,))
+            node.kids[key] = kid
+        return kid
 
 
 def _grow_tree(
@@ -238,7 +259,7 @@ def _grow_tree(
 def _extend_layer(
     builder: GraphBuilder,
     layering: Layering,
-    tree: LayeringTree,
+    search: _AncestorSearch,
     i: int,
     ell: int,
     oracle: DistanceOracle,
@@ -252,6 +273,7 @@ def _extend_layer(
     and current layer vertices below the same part. New edges go to builder.
     """
     k = i - ell - 2
+    tree = search.tree
     labels = _grow_tree(tree, layering, builder, k, ell)
     if max_degree is not None:
         part_limit = max_degree ** (ell + 1)
@@ -278,7 +300,6 @@ def _extend_layer(
             "a prefix vertex is disconnected from every capped-layer part"
         ) from None
 
-    search = _AncestorSearch(tree, builder)
     ledger = oracle.ledger
     anc_limit = (
         max_degree ** (ell + 2) * _ceil_log2(n) if max_degree is not None else None
@@ -407,9 +428,9 @@ def reconstruct(
                 f"bootstrap charged {boot_used} queries, limit {boot_limit}"
             )
 
-    tree = LayeringTree(n)
+    search = _AncestorSearch(LayeringTree(n), builder)
     trace = [
-        _extend_layer(builder, layering, tree, i, ell, oracle, delta, strict)
+        _extend_layer(builder, layering, search, i, ell, oracle, delta, strict)
         for i in range(ell + 2, layering.num_layers)
     ]
 

@@ -124,6 +124,32 @@ def truncation(tree: LayeringTree, k: int) -> tuple[list, list[int]]:
     return tree.parts[:m], tree.parent[:m]
 
 
+def subtree_form(tree: LayeringTree, subset) -> tuple[int, tuple[int, ...]]:
+    """(top, excluded roots) naming a connected set of parts of the tree."""
+    inside = set(subset)
+    (top,) = [p for p in inside if tree.parent[p] not in inside]
+    excluded = tuple(sorted(
+        c for p in inside for c in tree.children[p] if c not in inside
+    ))
+    return top, excluded
+
+
+def connected_subsets(tree: LayeringTree) -> list[list[int]]:
+    """Every nonempty connected set of parts, as a sorted list (small trees only)."""
+    found: set[frozenset[int]] = set()
+    frontier = [frozenset([p]) for p in range(len(tree.parts))]
+    while frontier:
+        found.update(frontier)
+        grown = set()
+        for sub in frontier:
+            for p in sub:
+                for q in tree.tree_neighbors(p):
+                    if q not in sub and sub | {q} not in found:
+                        grown.add(sub | {q})
+        frontier = list(grown)
+    return sorted(sorted(sub) for sub in found)
+
+
 def random_graph(rng: random.Random, n: int, extra_edges: int) -> Graph:
     """Random connected graph: random spanning tree plus extra edges."""
     edges = set()

@@ -30,9 +30,11 @@ from sprec import (
     tree_length,
 )
 from sprec.cli import main as cli_main
+from sprec.layering import centroid
 from sprec.reconstruct import _AncestorSearch, _grow_tree
 
-from .conftest import brute_components, prefix_graph, truncation
+from .conftest import brute_components, prefix_graph, subtree_form, truncation
+from .reference_search import ReferenceSearch, reference_centroid
 
 
 def test_criterion_1_exactness(corpus_runs):
@@ -122,6 +124,7 @@ def _check_structure_suite(g: Graph, oracle: DistanceOracle) -> tuple[int, int]:
     full = build_layering_tree(g, lay)
     ell = tree_length(g, full)
     depth = lay.depth
+    ref_oracle = DistanceOracle(g)
 
     # parts partition each layer
     for j, layer in enumerate(lay.layers):
@@ -139,11 +142,11 @@ def _check_structure_suite(g: Graph, oracle: DistanceOracle) -> tuple[int, int]:
         labels = brute_components(g, window)
         assert len({labels[v] for v in p.vertices}) == 1
 
-    # centroid halves the full part tree and is internal for three or more
+    # the centroid walk finds the reference centroid of the full part tree
+    # from every start; it halves the tree and is internal for three or more
     subset = list(range(len(full.parts)))
-    from sprec import centroid as centroid_op
-
-    pid = centroid_op(full, subset)
+    pid = reference_centroid(full, subset)
+    assert all(centroid(full, 0, (), start) == pid for start in subset)
     rest = set(subset) - {pid}
     sizes = []
     while rest:
@@ -189,13 +192,28 @@ def _check_structure_suite(g: Graph, oracle: DistanceOracle) -> tuple[int, int]:
                 running += counts.get(i, 0)
                 assert running <= delta ** (ell + i - k + 2)
 
-        # logarithmic ancestor search agrees with brute-force components
-        search = _AncestorSearch(tree, prefix_graph(g, lay, k + 2))
+        # logarithmic ancestor search agrees with brute-force components and,
+        # part, queries and rounds, with the set-based reference search
+        prefix = prefix_graph(g, lay, k + 2)
+        search = _AncestorSearch(tree, prefix)
+        ref = ReferenceSearch(tree, prefix)
         for j in range(k + ell + 2, lay.num_layers):
             for x in lay.layers[j]:
-                pid2, _, _ = search.locate(x, oracle)
-                assert label_of_part[pid2] == labels[x]
+                got = search.locate(x, oracle)
+                assert got == ref.locate(x, ref_oracle)
+                assert label_of_part[got[0]] == labels[x]
                 anc_checks += 1
+        # on every part subset the descents pivoted on, the walk from the
+        # subset's top returns the reference centroid
+        stack = [ref._root] if ref._root is not None else []
+        while stack:
+            node = stack.pop()
+            if node.pivot is None:
+                continue
+            top, excluded = subtree_form(tree, node.part_ids)
+            assert centroid(tree, top, excluded, top) == node.pivot
+            if node.child_by_part is not None:
+                stack.extend({id(c): c for c in node.child_by_part.values()}.values())
     return len(full.parts), anc_checks
 
 

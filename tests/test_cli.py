@@ -86,6 +86,15 @@ class TestReconstruct:
         assert rc == 1
         assert "tau_violation_suspected=True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_tau_is_a_usage_error(self, tmp_path, capsys, value):
+        src = tmp_path / "c6.edges"
+        write_graph(src, cycle(6))
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", str(src), "--tau", value])
+        assert exc.value.code == 2
+        assert "argument --tau: expected a positive integer" in capsys.readouterr().err
+
     def test_query_log_dump(self, tmp_path):
         src = tmp_path / "p5.edges"
         log = tmp_path / "queries.csv"
@@ -196,7 +205,9 @@ class TestBench:
         assert "FAILED" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--repeats", "0"), ("--sizes", "32,abc"), ("--sizes", ",")]
+        "flag, value",
+        [("--repeats", "0"), ("--sizes", "32,abc"), ("--sizes", ","),
+         ("--tau", "0"), ("--tau", "-1")],
     )
     def test_bad_count_is_a_usage_error(self, tmp_path, capsys, flag, value):
         args = [

@@ -9,20 +9,23 @@ from sprec import (
     PartialTreeError,
     build_layering,
     build_layering_tree,
-    centroid,
     layering_from_depths,
     max_degree,
     tree_length,
 )
+from sprec.layering import centroid
 from sprec.reconstruct import _AncestorSearch, _grow_tree
 
 from .conftest import (
     brute_components,
     capped_tree,
+    connected_subsets,
     prefix_graph,
     random_graph,
+    subtree_form,
     truncation,
 )
+from .reference_search import reference_centroid
 
 
 def path(n):
@@ -187,42 +190,65 @@ class TestExtendPartialTree:
             assert truncation(tree, k) == truncation(full, k)
 
 
+def split_sizes(tree, subset, pid):
+    """Component sizes of the subset's subtree once pid is removed, brute force."""
+    rest = set(subset) - {pid}
+    sizes = []
+    while rest:
+        seed = min(rest)
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            q = stack.pop()
+            for r in tree.tree_neighbors(q):
+                if r in rest and r not in comp:
+                    comp.add(r)
+                    stack.append(r)
+        sizes.append(len(comp))
+        rest -= comp
+    return sizes
+
+
+def check_walk(tree, subset):
+    """The walk from every start of a connected subset returns the reference
+    centroid, which halves the subset."""
+    top, excluded = subtree_form(tree, subset)
+    expect = reference_centroid(tree, subset)
+    for start in subset:
+        assert centroid(tree, top, excluded, start) == expect
+    assert max(split_sizes(tree, subset, expect), default=0) <= len(subset) // 2
+    return expect
+
+
 class TestCentroid:
     def test_path_of_three_parts(self):
         tree = build_layering_tree(C6, C6_LAY)
-        assert centroid(tree, [0, 1, 2]) == 1
+        assert centroid(tree, 0, (3,), 0) == 1
+        assert check_walk(tree, [0, 1, 2]) == 1
 
     def test_single_part(self):
         tree = build_layering_tree(C6, C6_LAY)
-        assert centroid(tree, [2]) == 2
+        assert centroid(tree, 2, (3,), 2) == 2
+        assert check_walk(tree, [2]) == 2
+
+    def test_equal_halves_tie_to_the_smaller_id(self):
+        # C6 gives a path of four parts: parts 1 and 2 both leave a largest
+        # component of 2, and the walk must pick 1 from either side
+        tree = build_layering_tree(C6, C6_LAY)
+        assert tree.parent == [-1, 0, 1, 2]
+        for start in range(4):
+            assert centroid(tree, 0, (), start) == 1
+        assert centroid(tree, 1, (), 3) == 2
 
     def test_star_center_wins_exhaustively(self):
         g = star(4)
         lay = build_layering(g, 0)
         tree = build_layering_tree(g, lay)
         subset = list(range(len(tree.parts)))
-        got = centroid(tree, subset)
         # exhaustive check: the winner minimizes the worst component size
-        def worst(pid):
-            rest = set(subset) - {pid}
-            sizes = []
-            while rest:
-                seed = min(rest)
-                comp = {seed}
-                stack = [seed]
-                while stack:
-                    q = stack.pop()
-                    for r in tree.tree_neighbors(q):
-                        if r in rest and r not in comp:
-                            comp.add(r)
-                            stack.append(r)
-                sizes.append(len(comp))
-                rest -= comp
-            return max(sizes)
-
-        scores = {pid: worst(pid) for pid in subset}
-        assert got == 0
-        assert scores[got] == min(scores.values()) <= len(subset) // 2
+        scores = {pid: max(split_sizes(tree, subset, pid)) for pid in subset}
+        assert check_walk(tree, subset) == 0
+        assert scores[0] == min(scores.values()) <= len(subset) // 2
 
     def test_halving_and_internality_on_random_trees(self):
         rng = random.Random(33)
@@ -232,36 +258,34 @@ class TestCentroid:
             lay = build_layering(g, 0)
             tree = build_layering_tree(g, lay)
             subset = list(range(len(tree.parts)))
-            pid = centroid(tree, subset)
-            rest = set(subset) - {pid}
-            # component sizes after removal, brute force
-            sizes = []
-            while rest:
-                seed = min(rest)
-                comp = {seed}
-                stack = [seed]
-                while stack:
-                    q = stack.pop()
-                    for r in tree.tree_neighbors(q):
-                        if r in rest and r not in comp:
-                            comp.add(r)
-                            stack.append(r)
-                sizes.append(len(comp))
-                rest -= comp
-            assert max(sizes) <= len(subset) // 2
+            pid = check_walk(tree, subset)
             if len(subset) >= 3:
                 deg = sum(1 for q in tree.tree_neighbors(pid) if q in subset)
                 assert deg >= 2
 
+    def test_matches_reference_on_every_connected_subset(self):
+        rng = random.Random(34)
+        checked = 0
+        for trial in range(40):
+            n = rng.randint(2, 11)
+            g = random_tree(rng, n) if trial % 2 else random_graph(rng, n, rng.randint(0, 4))
+            tree = build_layering_tree(g, build_layering(g, 0))
+            for subset in connected_subsets(tree):
+                check_walk(tree, subset)
+                checked += 1
+        assert checked > 1000
+
+    # (top, excluded) cannot name an empty or disconnected subset, so these
+    # rejections are properties of the set-based reference only.
     def test_disconnected_subset_rejected(self):
         tree = build_layering_tree(C6, C6_LAY)
         with pytest.raises(ValueError, match="not connected"):
-            centroid(tree, [0, 2])
+            reference_centroid(tree, [0, 2])
 
     def test_empty_subset_rejected(self):
         tree = build_layering_tree(C6, C6_LAY)
         with pytest.raises(ValueError):
-            centroid(tree, [])
+            reference_centroid(tree, [])
 
 
 class TestCompAndAnc:

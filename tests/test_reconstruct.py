@@ -123,6 +123,7 @@ class TestFindAncestorPart:
 
     def test_pivot_descent_halves_the_part_set(self):
         rng = random.Random(88)
+        splits = 0
         for trial in range(20):
             g, _ = generate(FamilySpec(RANDOM_TREE, rng.randint(20, 80), 4, seed=trial))
             lay = build_layering(g, 0)
@@ -136,16 +137,30 @@ class TestFindAncestorPart:
             o = DistanceOracle(g)
             for x in lay.layers[i]:
                 search.locate(x, o)
-            # every materialized split leaves components of at most half
+            # every materialized split leaves components of at most half;
+            # node parts are read off the parent pointers, not the counts
+            def parts_of(node):
+                out = set()
+                for p in range(len(tree.parts)):
+                    chain_up = [p]
+                    while tree.parent[chain_up[-1]] >= 0:
+                        chain_up.append(tree.parent[chain_up[-1]])
+                    if node.top in chain_up and not set(node.excluded) & set(chain_up):
+                        out.add(p)
+                return out
+
             stack = [search._root]
             while stack:
                 node = stack.pop()
-                if node.child_by_part is None:
-                    continue
-                kids = {id(c): c for c in node.child_by_part.values()}
-                for child in kids.values():
-                    assert len(child.part_ids) <= len(node.part_ids) // 2
+                inside = parts_of(node)
+                assert node.size == len(inside)
+                for child in node.kids.values():
+                    kid_parts = parts_of(child)
+                    assert kid_parts <= inside - {node.pivot}
+                    assert len(kid_parts) <= len(inside) // 2
                     stack.append(child)
+                    splits += 1
+        assert splits > 20
 
 
 class TestExtendOneLayer:
