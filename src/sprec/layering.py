@@ -117,12 +117,6 @@ class LayeringTree:
     def parts_at(self, layer: int) -> list[int]:
         return self.layer_parts[layer]
 
-    def tree_neighbors(self, part_id: int) -> list[int]:
-        out = list(self.children[part_id])
-        if self.parent[part_id] >= 0:
-            out.append(self.parent[part_id])
-        return out
-
     def ancestor_at(self, pid: int, layer: int) -> int:
         """Ancestor of part pid at `layer` (pid itself at its own layer)."""
         parts, jump = self.parts, self.jump

@@ -135,7 +135,7 @@ class _AncestorSearch:
         self.tree = tree
         self.prefix_graph = prefix_graph
         self._root = _PivotNode(0, ())
-        self._hints: list[int] = []
+        self._hints: dict[int, int] = {}  # search depth -> last pivot found there
         self._neighbors: dict[int, list[int]] = {}
 
     def locate(self, x: int, oracle: DistanceOracle) -> tuple[int, int, int]:
@@ -202,20 +202,16 @@ class _AncestorSearch:
         node.size, node.cap_count, node.sole_cap_part = size, count, total
         if count < 2 or size < 3:
             return
-        hints = self._hints
         start = node.pivot
         if start < 0:
-            start = hints[depth] if depth < len(hints) else -1
+            start = self._hints.get(depth, -1)
             if start < 0 or not self._holds(node, start):
                 start = node.top
         pivot = centroid(tree, node.top, node.excluded, start)
         if pivot != node.pivot:
             node.pivot = pivot
             node.kids = {}
-        if depth < len(hints):
-            hints[depth] = pivot
-        else:
-            hints.append(pivot)
+        self._hints[depth] = pivot
         if pivot not in self._neighbors:
             w = neighbors_of_set(self.prefix_graph, tree.parts[pivot].vertices)
             self._neighbors[pivot] = sorted(w)

@@ -124,6 +124,11 @@ def truncation(tree: LayeringTree, k: int) -> tuple[list, list[int]]:
     return tree.parts[:m], tree.parent[:m]
 
 
+def tree_neighbors(tree: LayeringTree, pid: int) -> list[int]:
+    """Children of a part, then its parent if it has one."""
+    return tree.children[pid] + ([tree.parent[pid]] if tree.parent[pid] >= 0 else [])
+
+
 def subtree_form(tree: LayeringTree, subset) -> tuple[int, tuple[int, ...]]:
     """(top, excluded roots) naming a connected set of parts of the tree."""
     inside = set(subset)
@@ -143,7 +148,7 @@ def connected_subsets(tree: LayeringTree) -> list[list[int]]:
         grown = set()
         for sub in frontier:
             for p in sub:
-                for q in tree.tree_neighbors(p):
+                for q in tree_neighbors(tree, p):
                     if q not in sub and sub | {q} not in found:
                         grown.add(sub | {q})
         frontier = list(grown)

@@ -17,6 +17,8 @@ from sprec.layering import LayeringInvariantError, LayeringTree
 from sprec.oracle import DistanceOracle, QueryPhase
 from sprec.reconstruct import InvariantViolation
 
+from .conftest import tree_neighbors
+
 
 def reference_centroid(tree: LayeringTree, part_ids: Iterable[int]) -> int:
     """Part whose removal splits the induced subtree into halves or smaller.
@@ -36,7 +38,7 @@ def reference_centroid(tree: LayeringTree, part_ids: Iterable[int]) -> int:
     while idx < len(order):
         pid = order[idx]
         idx += 1
-        for q in tree.tree_neighbors(pid):
+        for q in tree_neighbors(tree, pid):
             if q in subset and q not in parent_of:
                 parent_of[q] = pid
                 order.append(q)
@@ -59,7 +61,7 @@ def reference_centroid(tree: LayeringTree, part_ids: Iterable[int]) -> int:
     if best_worst > total // 2:
         raise LayeringInvariantError("no half-splitting part found in a tree")
     if total >= 3:
-        deg = sum(1 for q in tree.tree_neighbors(best_pid) if q in subset)
+        deg = sum(1 for q in tree_neighbors(tree, best_pid) if q in subset)
         if deg < 2:
             raise LayeringInvariantError("half-splitting part of a 3+ subtree must be internal")
     return best_pid
@@ -167,7 +169,7 @@ class ReferenceSearch:
             stack = [start]
             while stack:
                 q = stack.pop()
-                for r in tree.tree_neighbors(q):
+                for r in tree_neighbors(tree, q):
                     if r in remaining and r not in visited:
                         visited.add(r)
                         comp.append(r)

@@ -23,6 +23,7 @@ from .conftest import (
     prefix_graph,
     random_graph,
     subtree_form,
+    tree_neighbors,
     truncation,
 )
 from .reference_search import reference_centroid
@@ -200,7 +201,7 @@ def split_sizes(tree, subset, pid):
         stack = [seed]
         while stack:
             q = stack.pop()
-            for r in tree.tree_neighbors(q):
+            for r in tree_neighbors(tree, q):
                 if r in rest and r not in comp:
                     comp.add(r)
                     stack.append(r)
@@ -260,7 +261,7 @@ class TestCentroid:
             subset = list(range(len(tree.parts)))
             pid = check_walk(tree, subset)
             if len(subset) >= 3:
-                deg = sum(1 for q in tree.tree_neighbors(pid) if q in subset)
+                deg = sum(1 for q in tree_neighbors(tree, pid) if q in subset)
                 assert deg >= 2
 
     def test_matches_reference_on_every_connected_subset(self):
