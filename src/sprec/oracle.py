@@ -7,7 +7,10 @@ is attributed to a phase so budgets can be checked per algorithm stage.
 The hidden side runs one level-by-level BFS that can stop early: a batch of
 targets grows a ball around its source only until every target is reached,
 and a single query that no cached ball answers grows a complete row. Rows are
-memoized per source under a fixed memory budget.
+memoized per source under a fixed memory budget. A batch then charges its
+uncached answers in one pass over that ball, with accounting identical to a
+query per target. Answered pairs are cached under the integer key u * n + v,
+u < v, so vertices must be ints.
 
 One oracle serves one reconstruction run; concurrent runs each get their own.
 """
@@ -70,7 +73,8 @@ class DistanceOracle:
     query(u, v) answers from u's row, else from v's row, else builds u's
     complete row, so callers that reuse one endpoint across many queries
     should pass it first. batch_distances_from(s, ...) grows s's ball only
-    as far as its farthest uncached target.
+    as far as its farthest uncached target and charges the batch in one
+    pass; its ledger, log and answers equal those of query(s, t) per target.
     """
 
     def __init__(self, hidden: Graph, log_queries: bool = False):
@@ -81,7 +85,7 @@ class DistanceOracle:
         self.hidden = hidden
         self.n = hidden.n
         self.ledger = QueryLedger(log=[] if log_queries else None)
-        self._pair_cache: dict[tuple[int, int], int] = {}
+        self._pair_cache: dict[int, int] = {}  # key u * n + v, u < v
         self._rows: OrderedDict[int, dict[int, int] | array] = OrderedDict()
         self._row_bytes = 0
 
@@ -90,13 +94,16 @@ class DistanceOracle:
     def query(self, u: int, v: int, phase: QueryPhase) -> int:
         if not isinstance(phase, QueryPhase):
             raise _phase_error(phase)
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex pair ({u},{v}) out of range for n={self.n}")
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise TypeError(f"vertex pair ({u!r},{v!r}) must be integers")
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex pair ({u},{v}) out of range for n={n}")
         ledger = self.ledger
         ledger.raw_calls += 1
         if u == v:
             return 0  # not a pair: nothing to charge, cache or log
-        key = (u, v) if u < v else (v, u)
+        key = u * n + v if u < v else v * n + u
         cached = self._pair_cache.get(key)
         if cached is not None:
             return cached
@@ -115,27 +122,52 @@ class DistanceOracle:
 
         Accounting is identical to calling query(s, t) for each distinct
         target in order; the hidden side grows s's ball once, only as far
-        as the farthest target whose pair is not cached yet.
+        as the farthest target whose pair is not cached yet, and the
+        uncached answers are read from it and charged in one pass.
         """
         if not isinstance(phase, QueryPhase):
             raise _phase_error(phase)
         n = self.n
+        if not isinstance(s, int):
+            raise TypeError(f"source {s!r} must be an integer")
         if not 0 <= s < n:
             raise ValueError(f"source {s} out of range for n={n}")
-        targets = list(dict.fromkeys(targets))
-        for t in targets:
-            if not 0 <= t < n:
-                raise ValueError(f"vertex pair ({s},{t}) out of range for n={n}")
         cache = self._pair_cache
-        want = [
-            t for t in targets
-            if t != s and ((s, t) if s < t else (t, s)) not in cache
-        ]
-        if want:
-            row = self._rows.get(s)
-            if row is None or any(_held(row, t) < 0 for t in want):
-                self._store(s, self._bfs(s, want))
-        return {t: self.query(s, t, phase) for t in targets}
+        sn = s * n
+        out: dict[int, int] = {}
+        want: list[int] = []
+        for t in targets:
+            if not (isinstance(t, int) and 0 <= t < n):
+                raise _target_error(s, t, n)
+            if t in out:
+                continue
+            if t == s:
+                out[t] = 0
+                continue
+            key = sn + t if s < t else t * n + s
+            d = cache.get(key)
+            if d is None:
+                want.append(t)
+            out[t] = d  # a placeholder keeps t's place until it is charged
+        ledger = self.ledger
+        ledger.raw_calls += len(out)
+        if not want:
+            return out
+        rows = self._rows
+        row = rows.get(s)
+        if row is None or any(_held(row, t) < 0 for t in want):
+            row = self._store(s, self._bfs(s, want))
+        else:
+            rows.move_to_end(s)
+        log = ledger.log
+        value = phase.value
+        for t in want:
+            out[t] = cache[sn + t if s < t else t * n + s] = d = row[t]
+            if log is not None:
+                log.append((s, t, d, value))
+        ledger.distinct_queries += len(want)
+        ledger.per_phase[phase] += len(want)
+        return out
 
     def write_query_log(self, out: io.TextIOBase) -> None:
         """Dump charged queries as CSV lines "u,v,distance,phase"."""
@@ -210,6 +242,12 @@ class DistanceOracle:
 
 def _phase_error(phase: object) -> TypeError:
     return TypeError(f"phase must be a QueryPhase, got {phase!r}")
+
+
+def _target_error(s: int, t: object, n: int) -> Exception:
+    if not isinstance(t, int):
+        return TypeError(f"vertex pair ({s},{t!r}) must be integers")
+    return ValueError(f"vertex pair ({s},{t}) out of range for n={n}")
 
 
 def _held(row: dict[int, int] | array, v: int) -> int:

@@ -15,7 +15,6 @@ independent runs can execute concurrently, each with its own oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .graph import Graph, GraphBuilder, components_masked, neighbors_of_set
 from .layering import (
@@ -318,11 +317,13 @@ def _extend_layer(
     for u in layers[i - 1]:
         prev_by_part.setdefault(anc[u], []).append(u)
     cur_by_part: dict[int, list[int]] = {}
+    rank: dict[int, int] = {}
     for x in layers[i]:
-        cur_by_part.setdefault(anc[x], []).append(x)
+        same = cur_by_part.setdefault(anc[x], [])
+        rank[x] = len(same)
+        same.append(x)
 
     cand_limit = max_degree ** (2 * ell + 4) if max_degree is not None else None
-    seen_pairs: set[tuple[int, int]] = set()
     nb_before = ledger.distinct_queries
     max_vertex = 0
     max_cand = 0
@@ -338,15 +339,10 @@ def _extend_layer(
                 f"part-growth bound {cand_limit}; the diameter bound is "
                 "likely too small"
             )
-        targets = []
-        for u in chain(cand_prev, cand_cur):
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            targets.append(u)
+        # Layer i - 1 vertices are never sources here, so each of their pairs
+        # comes up once; a pair of two new vertices of one part is asked by
+        # the earlier of them, so v takes only the part's vertices after it.
+        targets = [*cand_prev, *cand_cur[rank[v] + 1 :]]
         v_before = ledger.distinct_queries
         # One batch per vertex: the oracle grows v's BFS ball only as far as
         # its farthest candidate. Edges go in in target order, which keeps the
