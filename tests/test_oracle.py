@@ -71,6 +71,26 @@ class TestQuery:
         with pytest.raises(TypeError):
             o.query(0, 1, "bootstrap")
 
+    @pytest.mark.parametrize("u, v", [(0.25, 1), (1, 2.0), ("1", 2), (None, 0)])
+    def test_non_integer_vertex_charges_nothing(self, u, v):
+        # with pair keys u * n + v, (0.25, 1) at n=4 would read pair (0, 2)
+        o = DistanceOracle(path(4), log_queries=True)
+        with pytest.raises(TypeError, match=r"vertex pair \(.*\) must be integers"):
+            o.query(u, v, ANC)
+        assert o.ledger.raw_calls == 0 and o.ledger.log == []
+        assert o._rows == {} and o._pair_cache == {}
+        assert o.query(0, 2, ANC) == 2
+
+    def test_int_subclasses_are_vertices(self):
+        class Vertex(int):
+            pass
+
+        o = DistanceOracle(path(4))
+        assert o.query(True, Vertex(3), ANC) == 2
+        assert o.query(3, 1, ANC) == 2  # the same pair, already charged
+        assert o.batch_distances_from(False, [True, Vertex(2)], ANC) == {1: 1, 2: 2}
+        assert o.ledger.distinct_queries == 3
+
     def test_rejects_disconnected_hidden_graph(self):
         with pytest.raises(ValueError, match="connected"):
             DistanceOracle(Graph(3, [(0, 1)]))
@@ -119,6 +139,20 @@ class TestBatch:
         with pytest.raises(TypeError, match="phase must be a QueryPhase"):
             o.batch_distances_from(0, [1, 2], "bootstrap")
         assert o._rows == {} and o.ledger.raw_calls == 0
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, "0"])
+    def test_non_integer_source_charges_nothing(self, s):
+        o = DistanceOracle(path(3))
+        with pytest.raises(TypeError, match="source .* must be an integer"):
+            o.batch_distances_from(s, [0, 2], ANC)
+        assert o._rows == {} and o._pair_cache == {} and o.ledger.raw_calls == 0
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2"])
+    def test_non_integer_target_charges_nothing(self, bad):
+        o = DistanceOracle(path(4))
+        with pytest.raises(TypeError, match=r"vertex pair \(0,.*\) must be integers"):
+            o.batch_distances_from(0, [1, bad, 3], ANC)
+        assert o._rows == {} and o._pair_cache == {} and o.ledger.raw_calls == 0
 
 
 class TestTruncatedBalls:
@@ -187,6 +221,67 @@ def check_interleaved(graph, calls, budget):
             else:
                 assert o.query(a, b, ANC) == table[a][b]
                 assert o.query(b, a, ANC) == table[b][a]
+
+
+@st.composite
+def differential_calls(draw, n_range):
+    n = draw(st.integers(*n_range))
+    seed = draw(st.integers(0, 2**32 - 1))
+    extra = draw(st.integers(0, n // 2))
+    vertex = st.integers(0, n - 1)
+
+    @st.composite
+    def batch(draw):
+        s = draw(vertex)
+        targets = draw(st.lists(vertex, max_size=12))
+        repeats = draw(st.lists(st.sampled_from(targets), max_size=4)) if targets else []
+        itself = [s] * draw(st.integers(0, 2))
+        return "batch", s, draw(st.permutations(targets + repeats + itself))
+
+    call = st.one_of(batch(), st.tuples(st.just("query"), vertex, vertex))
+    calls = draw(st.lists(call, min_size=1, max_size=40))
+    budget = draw(st.sampled_from([oracle_module._ROW_CACHE_BYTES, 0, 16 * n]))
+    return random_graph(random.Random(seed), n, extra), calls, budget
+
+
+def ledger_state(o):
+    ledger = o.ledger
+    return ledger.distinct_queries, ledger.raw_calls, ledger.per_phase, ledger.log
+
+
+def check_batch_matches_queries(graph, calls, budget):
+    """A batch's answers and accounting equal one query per distinct target."""
+    table = brute_all_pairs(graph)
+    batched = DistanceOracle(graph, log_queries=True)
+    single = DistanceOracle(graph, log_queries=True)
+    with mock.patch.object(oracle_module, "_ROW_CACHE_BYTES", budget):
+        for kind, a, b in calls:
+            if kind == "batch":
+                out = batched.batch_distances_from(a, b, ANC)
+                assert out == {t: single.query(a, t, ANC) for t in dict.fromkeys(b)}
+                assert list(out) == list(dict.fromkeys(b))
+            else:
+                assert batched.query(a, b, ANC) == single.query(a, b, ANC)
+            assert ledger_state(batched) == ledger_state(single)
+        for kind, a, b in calls:
+            for t in b if kind == "batch" else [b]:
+                for u, v in ((a, t), (t, a)):
+                    assert batched.query(u, v, ANC) == single.query(u, v, ANC) == table[u][v]
+        assert ledger_state(batched) == ledger_state(single)
+
+
+class TestBatchMatchesQueries:
+    @settings(max_examples=150, deadline=None)
+    @given(differential_calls((2, 60)))
+    def test_small_graphs(self, case):
+        check_batch_matches_queries(*case)
+
+    @settings(
+        max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(differential_calls((1024, 1300)))
+    def test_large_graphs(self, case):
+        check_batch_matches_queries(*case)
 
 
 class TestInterleavedProperty:

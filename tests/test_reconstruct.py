@@ -8,6 +8,7 @@ from sprec import (
     DistanceOracle,
     FamilySpec,
     Graph,
+    KTREE,
     LayeringTree,
     QueryPhase,
     RANDOM_TREE,
@@ -203,6 +204,44 @@ class TestExtendOneLayer:
                 done += 1
         assert done >= 400  # a few instances are shallow enough to skip
 
+    @pytest.mark.parametrize("spec", [
+        FamilySpec(KTREE, 120, 8, k=2, seed=2),
+        FamilySpec(RANDOM_TREE, 150, 3, seed=4),
+    ])
+    def test_neighbor_search_asks_each_pair_once(self, spec):
+        g, _ = generate(spec)
+        lay = build_layering(g, 0)
+        ell = self.measured_ell(g)
+        o = DistanceOracle(g, log_queries=True)
+        asked = {}
+
+        def record(s, targets, phase):
+            targets = list(targets)
+            if phase is QueryPhase.NEIGHBOR_SEARCH:
+                asked[s] = targets
+            return DistanceOracle.batch_distances_from(o, s, targets, phase)
+
+        o.batch_distances_from = record
+        res = reconstruct(o, ReconstructionConfig(ell=ell))
+        assert graphs_equal(res.graph, g)
+        logged = {}
+        for u, v, _d, phase in o.ledger.log:
+            logged.setdefault(frozenset((u, v)), []).append((u, phase))
+        shared = 0
+        for i in range(ell + 2, lay.num_layers):
+            k = i - ell - 2
+            part = {x: brute_anc(g, lay.depth, x, k) for x in lay.layers[i - 1] + lay.layers[i]}
+            for idx, v in enumerate(lay.layers[i]):
+                prev = [u for u in lay.layers[i - 1] if part[u] == part[v]]
+                later = [w for w in lay.layers[i][idx + 1 :] if part[w] == part[v]]
+                # every previous-layer candidate, then the part's later new vertices
+                assert asked[v] == prev + later
+                for u in prev:
+                    assert len(logged[frozenset((u, v))]) == 1
+                for w in later:
+                    assert logged[frozenset((v, w))] == [(v, "neighbor-search")]
+                shared += len(later)
+        assert shared > 0
     def test_ring_of_cliques_is_covered_by_bootstrap(self):
         # With the measured diameter bound, a clique ring's layer count never
         # exceeds bound + 2, so the layer loop is unreachable and the whole
