@@ -200,10 +200,17 @@ def interleaved_calls(draw, n_range):
     seed = draw(st.integers(0, 2**32 - 1))
     extra = draw(st.integers(0, n // 2))
     vertex = st.integers(0, n - 1)
-    call = st.one_of(
-        st.tuples(st.just("batch"), vertex, st.lists(vertex, max_size=12)),
-        st.tuples(st.just("query"), vertex, vertex),
-    )
+
+    @st.composite
+    def batch(draw):
+        # targets may repeat and may include the source itself
+        s = draw(vertex)
+        targets = draw(st.lists(vertex, max_size=12))
+        repeats = draw(st.lists(st.sampled_from(targets), max_size=4)) if targets else []
+        itself = [s] * draw(st.integers(0, 2))
+        return "batch", s, draw(st.permutations(targets + repeats + itself))
+
+    call = st.one_of(batch(), st.tuples(st.just("query"), vertex, vertex))
     calls = draw(st.lists(call, min_size=1, max_size=40))
     # the default row budget, none at all, or room for four dense rows
     budget = draw(st.sampled_from([oracle_module._ROW_CACHE_BYTES, 0, 16 * n]))
@@ -221,27 +228,6 @@ def check_interleaved(graph, calls, budget):
             else:
                 assert o.query(a, b, ANC) == table[a][b]
                 assert o.query(b, a, ANC) == table[b][a]
-
-
-@st.composite
-def differential_calls(draw, n_range):
-    n = draw(st.integers(*n_range))
-    seed = draw(st.integers(0, 2**32 - 1))
-    extra = draw(st.integers(0, n // 2))
-    vertex = st.integers(0, n - 1)
-
-    @st.composite
-    def batch(draw):
-        s = draw(vertex)
-        targets = draw(st.lists(vertex, max_size=12))
-        repeats = draw(st.lists(st.sampled_from(targets), max_size=4)) if targets else []
-        itself = [s] * draw(st.integers(0, 2))
-        return "batch", s, draw(st.permutations(targets + repeats + itself))
-
-    call = st.one_of(batch(), st.tuples(st.just("query"), vertex, vertex))
-    calls = draw(st.lists(call, min_size=1, max_size=40))
-    budget = draw(st.sampled_from([oracle_module._ROW_CACHE_BYTES, 0, 16 * n]))
-    return random_graph(random.Random(seed), n, extra), calls, budget
 
 
 def ledger_state(o):
@@ -272,14 +258,14 @@ def check_batch_matches_queries(graph, calls, budget):
 
 class TestBatchMatchesQueries:
     @settings(max_examples=150, deadline=None)
-    @given(differential_calls((2, 60)))
+    @given(interleaved_calls((2, 60)))
     def test_small_graphs(self, case):
         check_batch_matches_queries(*case)
 
     @settings(
         max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
-    @given(differential_calls((1024, 1300)))
+    @given(interleaved_calls((1024, 1300)))
     def test_large_graphs(self, case):
         check_batch_matches_queries(*case)
 
