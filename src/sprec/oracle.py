@@ -7,10 +7,9 @@ is attributed to a phase so budgets can be checked per algorithm stage.
 The hidden side runs one level-by-level BFS that can stop early: a batch of
 targets grows a ball around its source only until every target is reached,
 and a single query that no cached ball answers grows a complete row. Rows are
-memoized per source under a fixed memory budget. A batch then charges its
-uncached answers in one pass over that ball, with accounting identical to a
-query per target. Answered pairs are cached under the integer key u * n + v,
-u < v, so vertices must be ints.
+memoized per source under a fixed memory budget. A batch charges its
+uncached answers in one pass, with accounting identical to a query per
+target. Answered pairs are cached under the int key u * n + v, u < v.
 
 One oracle serves one reconstruction run; concurrent runs each get their own.
 """
@@ -22,6 +21,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import index
 from typing import Iterable
 
 from .graph import Graph, is_connected
@@ -75,6 +75,7 @@ class DistanceOracle:
     should pass it first. batch_distances_from(s, ...) grows s's ball only
     as far as its farthest uncached target and charges the batch in one
     pass; its ledger, log and answers equal those of query(s, t) per target.
+    Where query is overridden (a subclass, a wrapper), it sees every target.
     """
 
     def __init__(self, hidden: Graph, log_queries: bool = False):
@@ -94,8 +95,8 @@ class DistanceOracle:
     def query(self, u: int, v: int, phase: QueryPhase) -> int:
         if not isinstance(phase, QueryPhase):
             raise _phase_error(phase)
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise TypeError(f"vertex pair ({u!r},{v!r}) must be integers")
+        if type(u) is not int or type(v) is not int:
+            u, v = _ints(u, v)
         n = self.n
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"vertex pair ({u},{v}) out of range for n={n}")
@@ -128,8 +129,8 @@ class DistanceOracle:
         if not isinstance(phase, QueryPhase):
             raise _phase_error(phase)
         n = self.n
-        if not isinstance(s, int):
-            raise TypeError(f"source {s!r} must be an integer")
+        if type(s) is not int:
+            (s,) = _ints(s)
         if not 0 <= s < n:
             raise ValueError(f"source {s} out of range for n={n}")
         cache = self._pair_cache
@@ -137,8 +138,10 @@ class DistanceOracle:
         out: dict[int, int] = {}
         want: list[int] = []
         for t in targets:
-            if not (isinstance(t, int) and 0 <= t < n):
-                raise _target_error(s, t, n)
+            if type(t) is not int:
+                _, t = _ints(s, t)
+            if not 0 <= t < n:
+                raise ValueError(f"vertex pair ({s},{t}) out of range for n={n}")
             if t in out:
                 continue
             if t == s:
@@ -149,18 +152,19 @@ class DistanceOracle:
             if d is None:
                 want.append(t)
             out[t] = d  # a placeholder keeps t's place until it is charged
+        rows = self._rows
+        if want:
+            row = rows.get(s)
+            if row is None or any(_held(row, t) < 0 for t in want):
+                row = self._store(s, self._bfs(s, want))
+            else:
+                rows.move_to_end(s)
+        if type(self).query is not _OWN_QUERY:
+            # an overriding query (a subclass's or a wrapper) sees each target
+            return {t: self.query(s, t, phase) for t in out}
         ledger = self.ledger
         ledger.raw_calls += len(out)
-        if not want:
-            return out
-        rows = self._rows
-        row = rows.get(s)
-        if row is None or any(_held(row, t) < 0 for t in want):
-            row = self._store(s, self._bfs(s, want))
-        else:
-            rows.move_to_end(s)
-        log = ledger.log
-        value = phase.value
+        log, value = ledger.log, phase.value
         for t in want:
             out[t] = cache[sn + t if s < t else t * n + s] = d = row[t]
             if log is not None:
@@ -240,14 +244,19 @@ class DistanceOracle:
         return row
 
 
+_OWN_QUERY = DistanceOracle.query  # batches charge in one pass only under it
+
+
 def _phase_error(phase: object) -> TypeError:
     return TypeError(f"phase must be a QueryPhase, got {phase!r}")
 
 
-def _target_error(s: int, t: object, n: int) -> Exception:
-    if not isinstance(t, int):
-        return TypeError(f"vertex pair ({s},{t!r}) must be integers")
-    return ValueError(f"vertex pair ({s},{t}) out of range for n={n}")
+def _ints(*xs: object) -> tuple[int, ...]:
+    """xs as ints; int-like values such as numpy integers convert."""
+    try:
+        return tuple(map(index, xs))
+    except TypeError:
+        raise TypeError(f"vertices ({', '.join(map(repr, xs))}) must be integers") from None
 
 
 def _held(row: dict[int, int] | array, v: int) -> int:

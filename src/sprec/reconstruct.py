@@ -317,11 +317,8 @@ def _extend_layer(
     for u in layers[i - 1]:
         prev_by_part.setdefault(anc[u], []).append(u)
     cur_by_part: dict[int, list[int]] = {}
-    rank: dict[int, int] = {}
     for x in layers[i]:
-        same = cur_by_part.setdefault(anc[x], [])
-        rank[x] = len(same)
-        same.append(x)
+        cur_by_part.setdefault(anc[x], []).append(x)
 
     cand_limit = max_degree ** (2 * ell + 4) if max_degree is not None else None
     nb_before = ledger.distinct_queries
@@ -340,9 +337,9 @@ def _extend_layer(
                 "likely too small"
             )
         # Layer i - 1 vertices are never sources here, so each of their pairs
-        # comes up once; a pair of two new vertices of one part is asked by
-        # the earlier of them, so v takes only the part's vertices after it.
-        targets = [*cand_prev, *cand_cur[rank[v] + 1 :]]
+        # comes up once; a pair of two new vertices of one part is asked by the
+        # earlier of them, so v takes only the part's vertices after its own.
+        targets = [*cand_prev, *cand_cur[cand_cur.index(v) + 1 :]]
         v_before = ledger.distinct_queries
         # One batch per vertex: the oracle grows v's BFS ball only as far as
         # its farthest candidate. Edges go in in target order, which keeps the

@@ -75,21 +75,31 @@ class TestQuery:
     def test_non_integer_vertex_charges_nothing(self, u, v):
         # with pair keys u * n + v, (0.25, 1) at n=4 would read pair (0, 2)
         o = DistanceOracle(path(4), log_queries=True)
-        with pytest.raises(TypeError, match=r"vertex pair \(.*\) must be integers"):
+        with pytest.raises(TypeError, match=r"vertices \(.*\) must be integers"):
             o.query(u, v, ANC)
         assert o.ledger.raw_calls == 0 and o.ledger.log == []
         assert o._rows == {} and o._pair_cache == {}
         assert o.query(0, 2, ANC) == 2
 
-    def test_int_subclasses_are_vertices(self):
+    def test_int_like_values_are_vertices(self):
         class Vertex(int):
             pass
 
-        o = DistanceOracle(path(4))
+        class Index:  # int-like without being an int, as numpy integers are
+            def __init__(self, i):
+                self.i = i
+
+            def __index__(self):
+                return self.i
+
+        o = DistanceOracle(path(4), log_queries=True)
         assert o.query(True, Vertex(3), ANC) == 2
         assert o.query(3, 1, ANC) == 2  # the same pair, already charged
         assert o.batch_distances_from(False, [True, Vertex(2)], ANC) == {1: 1, 2: 2}
-        assert o.ledger.distinct_queries == 3
+        assert o.query(Index(3), Index(0), ANC) == 3
+        assert o.batch_distances_from(Index(2), [Index(3), 1, Index(1)], ANC) == {3: 1, 1: 1}
+        assert o.ledger.distinct_queries == 6 and o.ledger.raw_calls == 7
+        assert all(type(x) is int for u, v, _, _ in o.ledger.log for x in (u, v))
 
     def test_rejects_disconnected_hidden_graph(self):
         with pytest.raises(ValueError, match="connected"):
@@ -121,6 +131,21 @@ class TestBatch:
         # one call per distinct target, the self-pair included
         assert o.ledger.raw_calls == 4
 
+    def test_overridden_query_sees_every_target(self):
+        calls = []
+
+        class Counting(DistanceOracle):
+            def query(self, u, v, phase):
+                calls.append((u, v))
+                return super().query(u, v, phase)
+
+        o = Counting(path(5), log_queries=True)
+        o.query(1, 3, ANC)
+        assert o.batch_distances_from(1, [3, 4, 1, 4], ANC) == {3: 2, 4: 3, 1: 0}
+        assert calls == [(1, 3), (1, 3), (1, 4), (1, 1)]
+        assert o.ledger.raw_calls == 4 and o.ledger.distinct_queries == 2
+        assert [(u, v) for u, v, _, _ in o.ledger.log] == [(1, 3), (1, 4)]
+
     @pytest.mark.parametrize("s", [3, 5, -1])
     def test_source_out_of_range(self, s):
         o = DistanceOracle(path(3))
@@ -143,14 +168,14 @@ class TestBatch:
     @pytest.mark.parametrize("s", [0.5, 1.0, "0"])
     def test_non_integer_source_charges_nothing(self, s):
         o = DistanceOracle(path(3))
-        with pytest.raises(TypeError, match="source .* must be an integer"):
+        with pytest.raises(TypeError, match=r"vertices \(.*\) must be integers"):
             o.batch_distances_from(s, [0, 2], ANC)
         assert o._rows == {} and o._pair_cache == {} and o.ledger.raw_calls == 0
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, "2"])
     def test_non_integer_target_charges_nothing(self, bad):
         o = DistanceOracle(path(4))
-        with pytest.raises(TypeError, match=r"vertex pair \(0,.*\) must be integers"):
+        with pytest.raises(TypeError, match=r"vertices \(0, .*\) must be integers"):
             o.batch_distances_from(0, [1, bad, 3], ANC)
         assert o._rows == {} and o._pair_cache == {} and o.ledger.raw_calls == 0
 

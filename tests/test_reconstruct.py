@@ -242,6 +242,7 @@ class TestExtendOneLayer:
                     assert logged[frozenset((v, w))] == [(v, "neighbor-search")]
                 shared += len(later)
         assert shared > 0
+
     def test_ring_of_cliques_is_covered_by_bootstrap(self):
         # With the measured diameter bound, a clique ring's layer count never
         # exceeds bound + 2, so the layer loop is unreachable and the whole
