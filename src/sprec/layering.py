@@ -181,16 +181,17 @@ class LayeringTree:
                     )
                 self.parent.append(parent_pid)
                 self.children[parent_pid].append(pid)
-            self._count_leaf(pid, k)
+            self._add_leaf(pid, k)
             for u in vs:
                 self.vertex_to_part[u] = pid
             new_ids.append(pid)
+        self._count_layer(new_ids, k)
         self.layer_parts.append(new_ids)
         self.cap = k
         return new_ids
 
-    def _count_leaf(self, pid: int, k: int) -> None:
-        """Set the jump pointer of new leaf pid and count it in every ancestor."""
+    def _add_leaf(self, pid: int, k: int) -> None:
+        """Set the jump pointer and the counts of new leaf pid at layer k."""
         parent, jump, parts = self.parent, self.jump, self.parts
         p = parent[pid]
         if p < 0:
@@ -204,16 +205,34 @@ class LayeringTree:
         self.cap_count.append(1)
         self.cap_sum.append(pid)
         self.cap_seen.append(k)
-        size, count, total, seen = self.size, self.cap_count, self.cap_sum, self.cap_seen
-        while p >= 0:
-            size[p] += 1
-            if seen[p] != k:
-                seen[p] = k
-                count[p] = 0
-                total[p] = 0
-            count[p] += 1
-            total[p] += pid
-            p = parent[p]
+
+    def _count_layer(self, new_ids: list[int], k: int) -> None:
+        """Count the new leaves of layer k in every ancestor, in one upward
+        pass: counts merge one layer at a time while the ancestors differ,
+        then one walk covers the single chain left above them."""
+        parent, size, count, total, seen = (
+            self.parent, self.size, self.cap_count, self.cap_sum, self.cap_seen)
+        up: dict[int, list[int]] = {}  # ancestor -> [new leaves below, their id sum]
+        for pid in new_ids:
+            p = parent[pid]
+            if p >= 0:
+                acc = up.setdefault(p, [0, 0])
+                acc[0] += 1
+                acc[1] += pid
+        while len(up) > 1:  # layer 0 has one part, so these have parents
+            nxt: dict[int, list[int]] = {}
+            for p, (c, t) in up.items():
+                size[p] += c
+                count[p], total[p], seen[p] = c, t, k
+                acc = nxt.setdefault(parent[p], [0, 0])
+                acc[0] += c
+                acc[1] += t
+            up = nxt
+        for p, (c, t) in up.items():
+            while p >= 0:
+                size[p] += c
+                count[p], total[p], seen[p] = c, t, k
+                p = parent[p]
 
 
 def build_layering_tree(g: GraphLike, layering: Layering) -> LayeringTree:

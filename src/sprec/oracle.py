@@ -4,12 +4,13 @@ The oracle answers d(u, v) exactly and charges one distinct-query credit per
 unordered pair, no matter how often the pair is re-asked. Every charged query
 is attributed to a phase so budgets can be checked per algorithm stage.
 
-The hidden side runs one level-by-level BFS that can stop early: a batch of
-targets grows a ball around its source only until every target is reached,
-and a single query that no cached ball answers grows a complete row. Rows are
-memoized per source under a fixed memory budget. A batch charges its
-uncached answers in one pass, with accounting identical to a query per
-target. Answered pairs are cached under the int key u * n + v, u < v.
+The hidden side runs one level-by-level BFS that stops early and resumes:
+each source's row is a ball that keeps its last level (its frontier), and a
+batch or a single query that the ball does not answer grows it from that
+frontier only until it holds every vertex asked for. Rows are memoized per
+source under a fixed memory budget. A batch charges its uncached answers in
+one pass, with accounting identical to a query per target. Answered pairs
+are cached under the int key u * n + v, u < v.
 
 One oracle serves one reconstruction run; concurrent runs each get their own.
 """
@@ -26,9 +27,10 @@ from typing import Iterable
 
 from .graph import Graph, is_connected
 
-# Memory budget for memoized per-source distance rows; answers stay exact
-# under eviction, only recomputation cost is affected. A dense row costs 4
-# bytes per vertex, a sparse one about 64 bytes per entry.
+# Memory budget for memoized per-source distance rows and the frontiers of
+# the rows not yet complete; answers stay exact under eviction, only
+# recomputation cost is affected. A dense row costs 4 bytes per vertex, a
+# sparse one about 64 bytes per entry, a frontier 4 bytes per vertex.
 _ROW_CACHE_BYTES = 128 << 20
 _SPARSE_ENTRY_BYTES = 64
 
@@ -61,6 +63,18 @@ class QueryLedger:
         )
 
 
+@dataclass
+class OracleStats:
+    """Hidden-side work: balls started from a bare source, balls grown
+    further from a kept frontier, vertices those growths added to rows (each
+    source included), and rows evicted from the row cache."""
+
+    balls_started: int = 0
+    balls_resumed: int = 0
+    visited: int = 0
+    evicted: int = 0
+
+
 class DistanceOracle:
     """Simulates shortest-path distance queries against a hidden graph.
 
@@ -68,14 +82,17 @@ class DistanceOracle:
     rows (never a precomputed all-pairs table). A row is a BFS ball around
     its source: exact for every vertex it holds and holding every vertex up
     to its radius; a complete row holds the whole graph. Rows smaller than
-    n/16 are dicts, larger ones int arrays with -1 beyond the radius.
+    n/16 are dicts, larger ones int arrays with -1 beyond the radius. A ball
+    that is not complete keeps its frontier, the vertices at its radius, so
+    growing it further resumes there and never restarts from the source.
 
-    query(u, v) answers from u's row, else from v's row, else builds u's
-    complete row, so callers that reuse one endpoint across many queries
+    query(u, v) answers from u's row, else from v's row, else grows u's ball
+    until it holds v, so callers that reuse one endpoint across many queries
     should pass it first. batch_distances_from(s, ...) grows s's ball only
     as far as its farthest uncached target and charges the batch in one
     pass; its ledger, log and answers equal those of query(s, t) per target.
     Where query is overridden (a subclass, a wrapper), it sees every target.
+    `stats` counts the BFS work behind the answers.
     """
 
     def __init__(self, hidden: Graph, log_queries: bool = False):
@@ -88,7 +105,10 @@ class DistanceOracle:
         self.ledger = QueryLedger(log=[] if log_queries else None)
         self._pair_cache: dict[int, int] = {}  # key u * n + v, u < v
         self._rows: OrderedDict[int, dict[int, int] | array] = OrderedDict()
+        # source -> (frontier, radius, vertices held), for incomplete rows only
+        self._fronts: dict[int, tuple[array, int, int]] = {}
         self._row_bytes = 0
+        self.stats = OracleStats()
 
     # -- query surface ----------------------------------------------------
 
@@ -152,13 +172,8 @@ class DistanceOracle:
             if d is None:
                 want.append(t)
             out[t] = d  # a placeholder keeps t's place until it is charged
-        rows = self._rows
         if want:
-            row = rows.get(s)
-            if row is None or any(_held(row, t) < 0 for t in want):
-                row = self._store(s, self._bfs(s, want))
-            else:
-                rows.move_to_end(s)
+            row = self._grow(s, want)
         if type(self).query is not _OWN_QUERY:
             # an overriding query (a subclass's or a wrapper) sees each target
             return {t: self.query(s, t, phase) for t in out}
@@ -196,52 +211,78 @@ class DistanceOracle:
             if d >= 0:
                 rows.move_to_end(v)
                 return d
-        return self._store(u, self._bfs(u, None))[v]
+        return self._grow(u, [v])[v]
 
-    def _bfs(self, s: int, want: list[int] | None) -> dict[int, int]:
-        """Distances from s, level by level, out to the first level that
-        reaches every vertex of want; want=None runs to completion."""
+    def _grow(self, s: int, want: list[int]) -> dict[int, int] | array:
+        """s's row, grown level by level from its kept frontier (from s if it
+        has no row) out to the first level that holds every vertex of want.
+
+        The row becomes the most recently used; then least recently used
+        rows are evicted while the cache is over its budget.
+        """
+        rows, stats = self._rows, self.stats
+        row = rows.get(s)
+        if row is None:
+            row, frontier, d, held, start = {s: 0}, [s], 0, 1, 0
+            stats.balls_started += 1
+        else:
+            rows.move_to_end(s)
+            if all(_held(row, t) >= 0 for t in want):
+                return row
+            self._row_bytes -= self._entry_bytes(s)
+            # a complete row holds every vertex, so this row has a frontier
+            frontier, d, held = self._fronts.pop(s)
+            start = held
+            stats.balls_resumed += 1
+        n = self.n
         adj = self.hidden.adj
-        dist = {s: 0}
-        frontier = [s]
-        pending = want[:] if want is not None else None
-        d = 0
-        while frontier:
-            if pending is not None:
-                while pending and pending[-1] in dist:
-                    pending.pop()
-                if not pending:
-                    break
+        pending = want[:]
+        while True:
+            while pending and _held(row, pending[-1]) >= 0:
+                pending.pop()
+            if not pending:
+                break
+            # an unreached vertex of a connected graph lies beyond the frontier
             d += 1
             nxt = []
-            for x in frontier:
-                for w in adj[x]:
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
+            if type(row) is dict:
+                for x in frontier:
+                    for w in adj[x]:
+                        if w not in row:
+                            row[w] = d
+                            nxt.append(w)
+                if 16 * len(row) >= n:
+                    dense = array("i", [-1]) * n
+                    for v, dv in row.items():
+                        dense[v] = dv
+                    row = dense
+            else:
+                for x in frontier:
+                    for w in adj[x]:
+                        if row[w] < 0:
+                            row[w] = d
+                            nxt.append(w)
+            held += len(nxt)
             frontier = nxt
-        return dist
-
-    def _store(self, s: int, dist: dict[int, int]) -> dict[int, int] | array:
-        """Cache dist as s's row, replacing any smaller ball of s, then evict
-        least recently used rows while the cache is over its budget."""
-        n = self.n
-        if 16 * len(dist) < n:
-            row: dict[int, int] | array = dist
-        else:
-            row = array("i", [-1]) * n
-            for v, d in dist.items():
-                row[v] = d
-        rows = self._rows
-        old = rows.pop(s, None)
-        if old is not None:
-            self._row_bytes -= _row_bytes(old)
+        stats.visited += held - start
         rows[s] = row
-        self._row_bytes += _row_bytes(row)
+        if held < n:
+            self._fronts[s] = (array("i", frontier), d, held)
+        self._row_bytes += self._entry_bytes(s)
         while self._row_bytes > _ROW_CACHE_BYTES and len(rows) > 1:
-            _, old = rows.popitem(last=False)
-            self._row_bytes -= _row_bytes(old)
+            old = next(iter(rows))
+            self._row_bytes -= self._entry_bytes(old)
+            del rows[old]
+            self._fronts.pop(old, None)
+            stats.evicted += 1
         return row
+
+    def _entry_bytes(self, s: int) -> int:
+        """Cache bytes of s's row and of its frontier, if it keeps one."""
+        row = self._rows[s]
+        size = _SPARSE_ENTRY_BYTES * len(row) if type(row) is dict else row.itemsize * len(row)
+        front = self._fronts.get(s)
+        return size if front is None else size + front[0].itemsize * len(front[0])
 
 
 _OWN_QUERY = DistanceOracle.query  # batches charge in one pass only under it
@@ -262,9 +303,3 @@ def _ints(*xs: object) -> tuple[int, ...]:
 def _held(row: dict[int, int] | array, v: int) -> int:
     """Distance to v if the row holds v, else -1."""
     return row.get(v, -1) if type(row) is dict else row[v]
-
-
-def _row_bytes(row: dict[int, int] | array) -> int:
-    if type(row) is dict:
-        return _SPARSE_ENTRY_BYTES * len(row)
-    return row.itemsize * len(row)

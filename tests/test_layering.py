@@ -4,11 +4,13 @@ import pytest
 
 from sprec import (
     DistanceOracle,
+    FamilySpec,
     Graph,
     LayeringTree,
     PartialTreeError,
     build_layering,
     build_layering_tree,
+    generate,
     layering_from_depths,
     max_degree,
     tree_length,
@@ -121,6 +123,28 @@ class TestLayeringTree:
                 pu, pv = tree.vertex_to_part[u], tree.vertex_to_part[v]
                 if pu != pv:
                     assert tree.parent[pu] == pv or tree.parent[pv] == pu
+
+
+    @pytest.mark.parametrize("family", ["random-tree", "caterpillar"])
+    def test_counts_match_a_recount_after_every_layer(self, family):
+        g, _ = generate(FamilySpec(family=family, n=200, max_degree=4, seed=5))
+        lay = build_layering(g, 0)
+        labels = build_layering_tree(g, lay).vertex_to_part  # component labels
+        tree = LayeringTree(g.n)
+        for k in range(lay.num_layers):
+            tree.append_layer(k, {v: labels[v] for v in lay.layers[k]}, lay, g)
+            size = [0] * len(tree.parts)
+            caps = [[0, 0] for _ in tree.parts]
+            for q, part in enumerate(tree.parts):
+                p = q
+                while p >= 0:
+                    size[p] += 1
+                    if part.layer == k:
+                        caps[p][0] += 1
+                        caps[p][1] += q
+                    p = tree.parent[p]
+            assert tree.size == size
+            assert [list(tree.caps_below(p)) for p in range(len(tree.parts))] == caps
 
 
 class TestTreeLength:

@@ -10,9 +10,11 @@ import sprec.oracle as oracle_module
 from sprec import (
     BudgetExceeded,
     DistanceOracle,
+    FamilySpec,
     Graph,
     QueryPhase,
     ReconstructionConfig,
+    generate,
     graphs_equal,
     reconstruct,
 )
@@ -189,7 +191,32 @@ class TestTruncatedBalls:
         assert o.batch_distances_from(0, [2], ANC) == {2: 2}
         assert oracle_module._held(o._rows[0], 30) == -1  # a ball, not a row
         assert o.query(0, 30, ANC) == 30
+        assert oracle_module._held(o._rows[0], 31) == -1  # still a ball
         assert o.query(25, 0, ANC) == 25
+
+    def test_query_beyond_a_ball_resumes_it(self):
+        o = DistanceOracle(path(200))
+        o.batch_distances_from(0, [3], ANC)
+        assert type(o._rows[0]) is dict  # 4 vertices, under n/16
+        assert vars(o.stats) == {"balls_started": 1, "balls_resumed": 0, "visited": 4, "evicted": 0}
+        assert o.query(0, 20, ANC) == 20
+        # only levels 4 to 20 are new; the row turned dense on the way
+        assert type(o._rows[0]) is not dict
+        assert vars(o.stats) == {"balls_started": 1, "balls_resumed": 1, "visited": 21, "evicted": 0}
+        assert o.batch_distances_from(0, [5, 199], ANC) == {5: 5, 199: 199}
+        assert vars(o.stats) == {"balls_started": 1, "balls_resumed": 2, "visited": 200, "evicted": 0}
+        assert 0 not in o._fronts  # complete: the frontier is dropped
+
+    def test_part_grown_ball_is_evicted_with_its_frontier(self, monkeypatch):
+        o = DistanceOracle(path(200))
+        o.batch_distances_from(0, [3], ANC)
+        # room for the sparse ball of 4 and its frontier, not for a second ball
+        monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", o._row_bytes)
+        o.batch_distances_from(199, [197], ANC)
+        assert list(o._rows) == [199] and list(o._fronts) == [199]
+        assert o.stats.evicted == 1
+        assert o.query(0, 6, ANC) == 6  # a fresh ball, not a resumed one
+        assert o.stats.balls_started == 3 and o.stats.balls_resumed == 0
 
     def test_later_batch_beyond_the_ball(self):
         o = DistanceOracle(path(40))
@@ -224,6 +251,7 @@ def interleaved_calls(draw, n_range):
     n = draw(st.integers(*n_range))
     seed = draw(st.integers(0, 2**32 - 1))
     extra = draw(st.integers(0, n // 2))
+    graph = random_graph(random.Random(seed), n, extra)
     vertex = st.integers(0, n - 1)
 
     @st.composite
@@ -235,11 +263,64 @@ def interleaved_calls(draw, n_range):
         itself = [s] * draw(st.integers(0, 2))
         return "batch", s, draw(st.permutations(targets + repeats + itself))
 
-    call = st.one_of(batch(), st.tuples(st.just("query"), vertex, vertex))
+    # "out" marks a call from one hub to its next ring outward, so the hub's
+    # ball is resumed after partial growth, level by level, and crosses the
+    # n/16 line from dict to array in a resume
+    out = st.tuples(st.just("out"), st.sampled_from(["batch", "query"]),
+                    st.integers(0, 2), st.integers(0, n))
+    call = st.one_of(batch(), st.tuples(st.just("query"), vertex, vertex), out)
     calls = draw(st.lists(call, min_size=1, max_size=40))
-    # the default row budget, none at all, or room for four dense rows
+    hub = draw(vertex)
+    rings = rings_around(graph, hub)
+    radius = 0
+    for i, c in enumerate(calls):
+        if c[0] == "out":
+            _, kind, step, pick = c
+            radius = min(radius + step, len(rings) - 1)
+            ring = rings[radius]
+            far = ring[pick % len(ring)]
+            calls[i] = ("batch", hub, [far, *ring[:pick % 3]]) if kind == "batch" else ("query", hub, far)
+    # the default row budget, none at all, or room for four dense rows; the
+    # last two evict balls part-grown
     budget = draw(st.sampled_from([oracle_module._ROW_CACHE_BYTES, 0, 16 * n]))
-    return random_graph(random.Random(seed), n, extra), calls, budget
+    return graph, calls, budget
+
+
+def rings_around(graph, s):
+    """Vertices of graph by distance from s, one list per distance."""
+    rings = [[s]]
+    seen = {s}
+    while True:
+        ring = []
+        for x in rings[-1]:
+            for w in graph.adj[x]:
+                if w not in seen:
+                    seen.add(w)
+                    ring.append(w)
+        if not ring:
+            return rings
+        rings.append(ring)
+
+
+def check_rows(o, table):
+    """Every cached row is an exact ball around its source, sparse below
+    n/16 vertices; a kept frontier is its last level; bytes add up."""
+    n = o.n
+    total = 0
+    for s, row in o._rows.items():
+        held = {v: oracle_module._held(row, v) for v in range(n)}
+        held = {v: d for v, d in held.items() if d >= 0}
+        assert (type(row) is dict) == (16 * len(held) < n)
+        front = o._fronts.get(s)
+        radius = max(table[s]) if front is None else front[1]
+        assert held == {v: d for v, d in enumerate(table[s]) if d <= radius}
+        if front is not None:
+            frontier, _, count = front
+            assert count == len(held) < n
+            assert sorted(frontier) == [v for v, d in sorted(held.items()) if d == radius]
+        total += o._entry_bytes(s)
+    assert set(o._fronts) <= set(o._rows)
+    assert o._row_bytes == total
 
 
 def check_interleaved(graph, calls, budget):
@@ -253,6 +334,7 @@ def check_interleaved(graph, calls, budget):
             else:
                 assert o.query(a, b, ANC) == table[a][b]
                 assert o.query(b, a, ANC) == table[b][a]
+            check_rows(o, table)
 
 
 def ledger_state(o):
@@ -307,6 +389,18 @@ class TestInterleavedProperty:
     @given(interleaved_calls((1024, 1300)))
     def test_large_graphs(self, case):
         check_interleaved(*case)
+
+
+class TestSimulatorWork:
+    def test_deep_graph_is_not_quadratic(self):
+        # complete rows per pivot neighbour visited 1,046,524 vertices here
+        # (about n^2); balls resumed from their frontiers visit 429,253
+        n = 1024
+        hidden, _ = generate(FamilySpec(family="caterpillar", n=n, max_degree=4, seed=0))
+        o = DistanceOracle(hidden)
+        reconstruct(o, ReconstructionConfig(tau=1, strict_budget=True, max_degree=4))
+        assert o.stats.visited <= n * n // 2
+        assert o.stats.balls_started <= n and o.stats.evicted == 0
 
 
 class TestBudget:
