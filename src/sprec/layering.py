@@ -96,6 +96,8 @@ class LayeringTree:
     number and id sum of its capped-layer descendants (valid while
     `cap_seen` equals `cap`), and a skew-binary jump pointer (Myers, 1983),
     so subtree sizes are O(1) reads and level ancestors take O(log n) steps.
+    Each appended layer updates the counts in one pass up the tree, which
+    visits every ancestor of the new parts once.
     """
 
     __slots__ = ("parts", "parent", "children", "vertex_to_part", "layer_parts", "cap",

@@ -27,10 +27,10 @@ from typing import Iterable
 
 from .graph import Graph, is_connected
 
-# Memory budget for memoized per-source distance rows and the frontiers of
-# the rows not yet complete; answers stay exact under eviction, only
-# recomputation cost is affected. A dense row costs 4 bytes per vertex, a
-# sparse one about 64 bytes per entry, a frontier 4 bytes per vertex.
+# Memory budget for memoized per-source distance rows; answers stay exact
+# under eviction, only recomputation cost is affected. A dense row costs 4
+# bytes per vertex and per vertex of its kept frontier, a sparse one about
+# 64 bytes per entry.
 _ROW_CACHE_BYTES = 128 << 20
 _SPARSE_ENTRY_BYTES = 64
 
@@ -84,7 +84,10 @@ class DistanceOracle:
     to its radius; a complete row holds the whole graph. Rows smaller than
     n/16 are dicts, larger ones int arrays with -1 beyond the radius. A ball
     that is not complete keeps its frontier, the vertices at its radius, so
-    growing it further resumes there and never restarts from the source.
+    growing it further resumes there and never restarts from the source: a
+    dict row holds its vertices in BFS order, so its frontier is its tail,
+    and an incomplete array row stores its radius, its vertex count and its
+    frontier after its n distances.
 
     query(u, v) answers from u's row, else from v's row, else grows u's ball
     until it holds v, so callers that reuse one endpoint across many queries
@@ -105,8 +108,6 @@ class DistanceOracle:
         self.ledger = QueryLedger(log=[] if log_queries else None)
         self._pair_cache: dict[int, int] = {}  # key u * n + v, u < v
         self._rows: OrderedDict[int, dict[int, int] | array] = OrderedDict()
-        # source -> (frontier, radius, vertices held), for incomplete rows only
-        self._fronts: dict[int, tuple[array, int, int]] = {}
         self._row_bytes = 0
         self.stats = OracleStats()
 
@@ -220,7 +221,7 @@ class DistanceOracle:
         The row becomes the most recently used; then least recently used
         rows are evicted while the cache is over its budget.
         """
-        rows, stats = self._rows, self.stats
+        rows, stats, n = self._rows, self.stats, self.n
         row = rows.get(s)
         if row is None:
             row, frontier, d, held, start = {s: 0}, [s], 0, 1, 0
@@ -229,20 +230,27 @@ class DistanceOracle:
             rows.move_to_end(s)
             if all(_held(row, t) >= 0 for t in want):
                 return row
-            self._row_bytes -= self._entry_bytes(s)
-            # a complete row holds every vertex, so this row has a frontier
-            frontier, d, held = self._fronts.pop(s)
+            self._row_bytes -= _row_bytes(row)
+            if type(row) is dict:  # in BFS order: the frontier is the tail
+                d, held = next(reversed(row.values())), len(row)
+                frontier = []
+                for v in reversed(row):
+                    if row[v] < d:
+                        break
+                    frontier.append(v)
+            else:  # radius, vertex count and frontier follow the distances
+                d, held = row[n], row[n + 1]
+                frontier = row[n + 2:]
+                del row[n:]
             start = held
             stats.balls_resumed += 1
-        n = self.n
         adj = self.hidden.adj
         pending = want[:]
-        while True:
+        while frontier:
             while pending and _held(row, pending[-1]) >= 0:
                 pending.pop()
             if not pending:
                 break
-            # an unreached vertex of a connected graph lies beyond the frontier
             d += 1
             nxt = []
             if type(row) is dict:
@@ -266,23 +274,14 @@ class DistanceOracle:
             frontier = nxt
         stats.visited += held - start
         rows[s] = row
-        if held < n:
-            self._fronts[s] = (array("i", frontier), d, held)
-        self._row_bytes += self._entry_bytes(s)
+        if held < n and type(row) is not dict:
+            row.extend((d, held, *frontier))
+        self._row_bytes += _row_bytes(row)
         while self._row_bytes > _ROW_CACHE_BYTES and len(rows) > 1:
-            old = next(iter(rows))
-            self._row_bytes -= self._entry_bytes(old)
-            del rows[old]
-            self._fronts.pop(old, None)
+            _, old = rows.popitem(last=False)
+            self._row_bytes -= _row_bytes(old)
             stats.evicted += 1
         return row
-
-    def _entry_bytes(self, s: int) -> int:
-        """Cache bytes of s's row and of its frontier, if it keeps one."""
-        row = self._rows[s]
-        size = _SPARSE_ENTRY_BYTES * len(row) if type(row) is dict else row.itemsize * len(row)
-        front = self._fronts.get(s)
-        return size if front is None else size + front[0].itemsize * len(front[0])
 
 
 _OWN_QUERY = DistanceOracle.query  # batches charge in one pass only under it
@@ -303,3 +302,9 @@ def _ints(*xs: object) -> tuple[int, ...]:
 def _held(row: dict[int, int] | array, v: int) -> int:
     """Distance to v if the row holds v, else -1."""
     return row.get(v, -1) if type(row) is dict else row[v]
+
+
+def _row_bytes(row: dict[int, int] | array) -> int:
+    if type(row) is dict:
+        return _SPARSE_ENTRY_BYTES * len(row)
+    return row.itemsize * len(row)

@@ -205,16 +205,16 @@ class TestTruncatedBalls:
         assert vars(o.stats) == {"balls_started": 1, "balls_resumed": 1, "visited": 21, "evicted": 0}
         assert o.batch_distances_from(0, [5, 199], ANC) == {5: 5, 199: 199}
         assert vars(o.stats) == {"balls_started": 1, "balls_resumed": 2, "visited": 200, "evicted": 0}
-        assert 0 not in o._fronts  # complete: the frontier is dropped
+        assert len(o._rows[0]) == 200  # complete: no frontier is kept
 
     def test_part_grown_ball_is_evicted_with_its_frontier(self, monkeypatch):
-        o = DistanceOracle(path(200))
+        o = DistanceOracle(path(40))
         o.batch_distances_from(0, [3], ANC)
-        # room for the sparse ball of 4 and its frontier, not for a second ball
+        assert list(o._rows[0][40:]) == [3, 4, 3]  # radius, size, frontier
+        # room for this row and its frontier, not for a second row
         monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", o._row_bytes)
-        o.batch_distances_from(199, [197], ANC)
-        assert list(o._rows) == [199] and list(o._fronts) == [199]
-        assert o.stats.evicted == 1
+        o.batch_distances_from(39, [37], ANC)
+        assert list(o._rows) == [39] and o.stats.evicted == 1
         assert o.query(0, 6, ANC) == 6  # a fresh ball, not a resumed one
         assert o.stats.balls_started == 3 and o.stats.balls_resumed == 0
 
@@ -304,23 +304,24 @@ def rings_around(graph, s):
 
 def check_rows(o, table):
     """Every cached row is an exact ball around its source, sparse below
-    n/16 vertices; a kept frontier is its last level; bytes add up."""
+    n/16 vertices, that keeps its last level unless it is complete; the
+    cache's byte count adds up."""
     n = o.n
-    total = 0
     for s, row in o._rows.items():
         held = {v: oracle_module._held(row, v) for v in range(n)}
         held = {v: d for v, d in held.items() if d >= 0}
-        assert (type(row) is dict) == (16 * len(held) < n)
-        front = o._fronts.get(s)
-        radius = max(table[s]) if front is None else front[1]
+        radius = max(held.values())
         assert held == {v: d for v, d in enumerate(table[s]) if d <= radius}
-        if front is not None:
-            frontier, _, count = front
-            assert count == len(held) < n
-            assert sorted(frontier) == [v for v, d in sorted(held.items()) if d == radius]
-        total += o._entry_bytes(s)
-    assert set(o._fronts) <= set(o._rows)
-    assert o._row_bytes == total
+        if type(row) is dict:
+            assert 16 * len(held) < n
+            assert list(row.values()) == sorted(row.values())  # BFS order
+        elif len(held) < n:
+            assert 16 * len(held) >= n
+            assert list(row[n:n + 2]) == [radius, len(held)]
+            assert sorted(row[n + 2:]) == [v for v, d in sorted(held.items()) if d == radius]
+        else:
+            assert len(row) == n
+    assert o._row_bytes == sum(map(oracle_module._row_bytes, o._rows.values()))
 
 
 def check_interleaved(graph, calls, budget):
