@@ -393,9 +393,9 @@ class TestInterleavedProperty:
 
 
 class TestSimulatorWork:
-    def test_deep_graph_is_not_quadratic(self):
-        # complete rows per pivot neighbour visited 1,046,524 vertices here
-        # (about n^2); balls resumed from their frontiers visit 429,253
+    def test_caterpillar_visits_stay_under_half_n_squared(self):
+        # a complete row per pivot neighbour visited 1,046,524 vertices here
+        # (about n^2); balls resumed from their frontiers visit 430,277
         n = 1024
         hidden, _ = generate(FamilySpec(family="caterpillar", n=n, max_degree=4, seed=0))
         o = DistanceOracle(hidden)
