@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sprec.oracle as oracle_module
+from sprec.oracle import OracleStats
 from sprec import (
     BudgetExceeded,
     DistanceOracle,
@@ -198,13 +199,13 @@ class TestTruncatedBalls:
         o = DistanceOracle(path(200))
         o.batch_distances_from(0, [3], ANC)
         assert type(o._rows[0]) is dict  # 4 vertices, under n/16
-        assert vars(o.stats) == {"balls_started": 1, "balls_resumed": 0, "visited": 4, "evicted": 0}
+        assert o.stats == OracleStats(balls_started=1, visited=4)
         assert o.query(0, 20, ANC) == 20
         # only levels 4 to 20 are new; the row turned dense on the way
         assert type(o._rows[0]) is not dict
-        assert vars(o.stats) == {"balls_started": 1, "balls_resumed": 1, "visited": 21, "evicted": 0}
+        assert o.stats == OracleStats(balls_started=1, balls_resumed=1, visited=21)
         assert o.batch_distances_from(0, [5, 199], ANC) == {5: 5, 199: 199}
-        assert vars(o.stats) == {"balls_started": 1, "balls_resumed": 2, "visited": 200, "evicted": 0}
+        assert o.stats == OracleStats(balls_started=1, balls_resumed=2, visited=200)
         assert len(o._rows[0]) == 200  # complete: no frontier is kept
 
     def test_part_grown_ball_is_evicted_with_its_frontier(self, monkeypatch):
@@ -279,7 +280,10 @@ def interleaved_calls(draw, n_range):
             radius = min(radius + step, len(rings) - 1)
             ring = rings[radius]
             far = ring[pick % len(ring)]
-            calls[i] = ("batch", hub, [far, *ring[:pick % 3]]) if kind == "batch" else ("query", hub, far)
+            if kind == "batch":
+                calls[i] = ("batch", hub, [far, *ring[:pick % 3]])
+            else:
+                calls[i] = ("query", hub, far)
     # the default row budget, none at all, or room for four dense rows; the
     # last two evict balls part-grown
     budget = draw(st.sampled_from([oracle_module._ROW_CACHE_BYTES, 0, 16 * n]))
