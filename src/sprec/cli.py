@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -133,6 +134,7 @@ def run_one(
             "true_max_degree": true_delta,
             "budget_neighbor_per_vertex": true_delta ** (2 * eff_ell + 4),
             "budget_neighbor_per_vertex_loose": true_delta ** (4 * eff_ell + 8),
+            "oracle_stats": dataclasses.asdict(oracle.stats),
         },
         "_result": result,
     }

@@ -31,7 +31,11 @@ class PartialTreeError(ValueError):
     """Precondition failure while building or extending a capped tree."""
 
 
-class LayeringInvariantError(RuntimeError):
+class ReconstructionError(RuntimeError):
+    """Base class for failures during a reconstruction run."""
+
+
+class LayeringInvariantError(ReconstructionError):
     """Structural breach that signals a corrupted prefix or an invalid bound."""
 
 

@@ -5,12 +5,13 @@ unordered pair, no matter how often the pair is re-asked. Every charged query
 is attributed to a phase so budgets can be checked per algorithm stage.
 
 The hidden side runs one level-by-level BFS that stops early and resumes:
-each source's row is a ball that keeps its last level (its frontier), and a
+each kept row is a ball that keeps its last level (its frontier), and a
 batch or a single query that the ball does not answer grows it from that
-frontier only until it holds every vertex asked for. Rows are memoized per
-source under a fixed memory budget. A batch charges its uncached answers in
-one pass, with accounting identical to a query per target. Answered pairs
-are cached under the int key u * n + v, u < v.
+frontier only until it holds every vertex asked for. Only single queries
+start kept rows; a batch from a source without one grows a throwaway ball.
+Rows are memoized per source under a fixed memory budget. A batch charges
+its uncached answers in one pass, with accounting identical to a query per
+target. Answered pairs are cached under the int key u * n + v, u < v.
 
 One oracle serves one reconstruction run; concurrent runs each get their own.
 """
@@ -65,12 +66,14 @@ class QueryLedger:
 
 @dataclass
 class OracleStats:
-    """Hidden-side work: balls started from a bare source, balls grown
-    further from a kept frontier, vertices those growths added to rows (each
+    """Hidden-side work: balls started from a bare source into the row
+    cache, balls grown further from a kept frontier, throwaway balls grown
+    for a batch and never cached, vertices all those growths reached (each
     source included), and rows evicted from the row cache."""
 
     balls_started: int = 0
     balls_resumed: int = 0
+    balls_transient: int = 0
     visited: int = 0
     evicted: int = 0
 
@@ -94,7 +97,11 @@ class DistanceOracle:
     should pass it first. batch_distances_from(s, ...) grows s's ball only
     as far as its farthest uncached target and charges the batch in one
     pass; its ledger, log and answers equal those of query(s, t) per target.
-    Where query is overridden (a subclass, a wrapper), it sees every target.
+    It resumes s's row if s has one; otherwise the ball grows in a dense
+    list that is dropped after the batch, as most batch sources are never
+    asked again, so only single queries add rows to the cache. Where query
+    is overridden (a subclass, a wrapper), a batch keeps s's ball as a row
+    and the override sees every target.
     `stats` counts the BFS work behind the answers.
     """
 
@@ -173,11 +180,13 @@ class DistanceOracle:
             if d is None:
                 want.append(t)
             out[t] = d  # a placeholder keeps t's place until it is charged
-        if want:
-            row = self._grow(s, want)
         if type(self).query is not _OWN_QUERY:
             # an overriding query (a subclass's or a wrapper) sees each target
+            if want:
+                self._grow(s, want)
             return {t: self.query(s, t, phase) for t in out}
+        if want:
+            row = self._grow(s, want, transient=True)
         ledger = self.ledger
         ledger.raw_calls += len(out)
         log, value = ledger.log, phase.value
@@ -214,18 +223,28 @@ class DistanceOracle:
                 return d
         return self._grow(u, [v])[v]
 
-    def _grow(self, s: int, want: list[int]) -> dict[int, int] | array:
+    def _grow(
+        self, s: int, want: list[int], transient: bool = False
+    ) -> dict[int, int] | array | list[int]:
         """s's row, grown level by level from its kept frontier (from s if it
         has no row) out to the first level that holds every vertex of want.
 
         The row becomes the most recently used; then least recently used
-        rows are evicted while the cache is over its budget.
+        rows are evicted while the cache is over its budget. If s has no row
+        and transient is set, the ball grows in a dense list that is returned
+        without entering the cache.
         """
         rows, stats, n = self._rows, self.stats, self.n
         row = rows.get(s)
         if row is None:
-            row, frontier, d, held, start = {s: 0}, [s], 0, 1, 0
-            stats.balls_started += 1
+            if transient:
+                row = [-1] * n
+                row[s] = 0
+                stats.balls_transient += 1
+            else:
+                row = {s: 0}
+                stats.balls_started += 1
+            frontier, d, held, start = [s], 0, 1, 0
         else:
             rows.move_to_end(s)
             if all(_held(row, t) >= 0 for t in want):
@@ -273,6 +292,8 @@ class DistanceOracle:
             held += len(nxt)
             frontier = nxt
         stats.visited += held - start
+        if type(row) is list:
+            return row
         rows[s] = row
         if held < n and type(row) is not dict:
             row.extend((d, held, *frontier))
@@ -299,7 +320,7 @@ def _ints(*xs: object) -> tuple[int, ...]:
         raise TypeError(f"vertices ({', '.join(map(repr, xs))}) must be integers") from None
 
 
-def _held(row: dict[int, int] | array, v: int) -> int:
+def _held(row: dict[int, int] | array | list[int], v: int) -> int:
     """Distance to v if the row holds v, else -1."""
     return row.get(v, -1) if type(row) is dict else row[v]
 

@@ -20,16 +20,13 @@ from .graph import Graph, GraphBuilder, components_masked, neighbors_of_set
 from .layering import (
     Layering,
     LayeringTree,
+    ReconstructionError,
     centroid,
     layering_from_depths,
 )
 from .oracle import DistanceOracle, QueryLedger, QueryPhase
 
 GraphLike = Graph | GraphBuilder
-
-
-class ReconstructionError(RuntimeError):
-    """Base class for failures during a reconstruction run."""
 
 
 class InvariantViolation(ReconstructionError):

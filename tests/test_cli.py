@@ -7,8 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from sprec import Graph, graphs_equal, read_edge_list, write_edge_list
+from sprec import (
+    Graph,
+    LayeringInvariantError,
+    LayeringTree,
+    graphs_equal,
+    read_edge_list,
+    write_edge_list,
+)
 from sprec.cli import main
+from sprec.oracle import OracleStats
 
 
 def write_graph(path, g):
@@ -85,6 +93,19 @@ class TestReconstruct:
         rc = main(["reconstruct", str(src), "--tau", "1"])
         assert rc == 1
         assert "tau_violation_suspected=True" in capsys.readouterr().out
+
+    def test_layering_breach_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        def breach(self, *args, **kwargs):
+            raise LayeringInvariantError("injected layering breach")
+
+        monkeypatch.setattr(LayeringTree, "append_layer", breach)
+        src = tmp_path / "p10.edges"
+        write_graph(src, path_graph(10))
+        rc = main(["reconstruct", str(src), "--tau", "1"])
+        assert rc == 1
+        stdout = capsys.readouterr().out
+        assert "correct=false" in stdout
+        assert "tau_violation_suspected=True" in stdout
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_bad_tau_is_a_usage_error(self, tmp_path, capsys, value):
@@ -192,6 +213,22 @@ class TestBench:
         assert row["tau_violation_suspected"] is False
         assert row["raw_calls"] >= row["q_total"]
         assert row["budget_neighbor_per_vertex_loose"] >= row["budget_neighbor_per_vertex"]
+
+    def test_json_reports_oracle_stats(self, tmp_path):
+        mirror = tmp_path / "bench.json"
+        rc = main(
+            [
+                "bench", "--family", "ktree", "--k", "2", "--sizes", "64",
+                "--delta", "8", "--tau", "1", "--out", str(tmp_path / "bench.csv"),
+                "--json", str(mirror),
+            ]
+        )
+        assert rc == 0
+        (row,) = json.loads(mirror.read_text())
+        stats = OracleStats(**row["oracle_stats"])
+        # the root scan alone is one throwaway batch ball over all 64 vertices
+        assert stats.balls_transient >= 1 and stats.visited >= 64
+        assert stats.evicted == 0
 
     def test_failing_sweep_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

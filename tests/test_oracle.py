@@ -184,12 +184,12 @@ class TestBatch:
 
 
 class TestTruncatedBalls:
-    """A batch grows its source's ball only to its farthest uncached target;
+    """A query or a batch grows its source's ball only as far as it must;
     every later answer must still be exact."""
 
     def test_query_beyond_a_truncated_ball(self):
         o = DistanceOracle(path(40))
-        assert o.batch_distances_from(0, [2], ANC) == {2: 2}
+        assert o.query(0, 2, ANC) == 2
         assert oracle_module._held(o._rows[0], 30) == -1  # a ball, not a row
         assert o.query(0, 30, ANC) == 30
         assert oracle_module._held(o._rows[0], 31) == -1  # still a ball
@@ -197,7 +197,7 @@ class TestTruncatedBalls:
 
     def test_query_beyond_a_ball_resumes_it(self):
         o = DistanceOracle(path(200))
-        o.batch_distances_from(0, [3], ANC)
+        o.query(0, 3, ANC)
         assert type(o._rows[0]) is dict  # 4 vertices, under n/16
         assert o.stats == OracleStats(balls_started=1, visited=4)
         assert o.query(0, 20, ANC) == 20
@@ -210,11 +210,11 @@ class TestTruncatedBalls:
 
     def test_part_grown_ball_is_evicted_with_its_frontier(self, monkeypatch):
         o = DistanceOracle(path(40))
-        o.batch_distances_from(0, [3], ANC)
+        o.query(0, 3, ANC)
         assert list(o._rows[0][40:]) == [3, 4, 3]  # radius, size, frontier
         # room for this row and its frontier, not for a second row
         monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", o._row_bytes)
-        o.batch_distances_from(39, [37], ANC)
+        o.query(39, 37, ANC)
         assert list(o._rows) == [39] and o.stats.evicted == 1
         assert o.query(0, 6, ANC) == 6  # a fresh ball, not a resumed one
         assert o.stats.balls_started == 3 and o.stats.balls_resumed == 0
@@ -227,7 +227,7 @@ class TestTruncatedBalls:
 
     def test_other_endpoint_ball_answers_only_what_it_holds(self):
         o = DistanceOracle(path(40))
-        o.batch_distances_from(10, [12], ANC)  # ball of radius 2 around 10
+        o.query(10, 12, ANC)  # ball of radius 2 around 10
         assert o.query(12, 10, ANC) == 2
         assert o.query(30, 10, ANC) == 20
 
@@ -245,6 +245,42 @@ class TestTruncatedBalls:
             u, v = rng.randrange(g.n), rng.randrange(g.n)
             assert o.query(u, v, ANC) == table[u][v]
             assert len(o._rows) == 1  # only the newest row survives
+
+
+class TestTransientBalls:
+    """A batch from a source with no kept row grows a ball that is never
+    cached; a batch from a source with a kept row resumes that row."""
+
+    def test_batch_without_a_row_keeps_none(self):
+        o = DistanceOracle(path(40))
+        assert o.batch_distances_from(5, [9, 1, 9], ANC) == {9: 4, 1: 4}
+        assert o._rows == {} and o._row_bytes == 0
+        # radius 4 around 5: vertices 1 to 9
+        assert o.stats == OracleStats(balls_transient=1, visited=9)
+        assert o.batch_distances_from(5, [9, 12], ANC) == {9: 4, 12: 7}
+        # a second ball from 5, not a resumed one: radius 7, vertices 0 to 12
+        assert o._rows == {}
+        assert o.stats == OracleStats(balls_transient=2, visited=9 + 13)
+
+    def test_batch_from_a_kept_row_resumes_it(self):
+        o = DistanceOracle(path(40))
+        assert o.query(5, 7, ANC) == 2
+        row = o._rows[5]
+        assert o.batch_distances_from(5, [12, 1], ANC) == {12: 7, 1: 4}
+        assert o._rows[5] is row and oracle_module._held(row, 12) == 7
+        assert oracle_module._held(row, 13) == -1  # grown only as far as 12
+        assert o.stats == OracleStats(balls_started=1, balls_resumed=1, visited=13)
+
+    def test_kept_rows_come_from_ancestor_queries(self):
+        # a 2-tree asks most of its queries in neighbour-search batches;
+        # none of those may leave a row behind
+        n = 1024
+        hidden, _ = generate(FamilySpec(family="ktree", n=n, max_degree=8, k=2, seed=0))
+        o = DistanceOracle(hidden, log_queries=True)
+        reconstruct(o, ReconstructionConfig(tau=1, strict_budget=True, max_degree=8))
+        sources = {u for u, _, _, phase in o.ledger.log if phase == ANC.value}
+        assert o._rows and set(o._rows) <= sources
+        assert o.stats.balls_transient >= n - 1
 
 
 @st.composite
@@ -399,13 +435,15 @@ class TestInterleavedProperty:
 class TestSimulatorWork:
     def test_caterpillar_visits_stay_under_half_n_squared(self):
         # a complete row per pivot neighbour visited 1,046,524 vertices here
-        # (about n^2); balls resumed from their frontiers visit 430,277
+        # (about n^2); balls resumed from their frontiers visit 443,414,
+        # with 1,008 kept balls and 1,023 throwaway batch balls
         n = 1024
         hidden, _ = generate(FamilySpec(family="caterpillar", n=n, max_degree=4, seed=0))
         o = DistanceOracle(hidden)
         reconstruct(o, ReconstructionConfig(tau=1, strict_budget=True, max_degree=4))
         assert o.stats.visited <= n * n // 2
         assert o.stats.balls_started <= n and o.stats.evicted == 0
+        assert o.stats.balls_transient <= n
 
 
 class TestBudget:
