@@ -173,11 +173,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         clique_size=args.clique_size,
         seed=args.seed,
     )
-    try:
-        graph, meta = generate(spec)
-    except InfeasibleSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    graph, meta = generate(spec)
     _write_graph_file(args.out, graph)
     tl = meta["tl_bound"]
     print(
@@ -189,15 +185,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    hidden = _read_graph_file(args.graph)
     try:
-        hidden = _read_graph_file(args.graph)
-    except (OSError, EdgeListParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    ell = args.ell
-    if args.ell_from_truth:
-        ell = _ell_from_truth(hidden)
-    try:
+        # a disconnected or empty graph fails here with a ValueError
+        ell = _ell_from_truth(hidden) if args.ell_from_truth else args.ell
         record, oracle = run_one(
             hidden,
             family="file",
@@ -236,11 +227,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 clique_size=args.clique_size,
                 seed=seed,
             )
-            try:
-                hidden, meta = generate(spec)
-            except InfeasibleSpecError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
+            hidden, _ = generate(spec)
             ell = _ell_from_truth(hidden) if args.ell_from_truth else None
             record, _ = run_one(
                 hidden,
@@ -270,12 +257,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        a = _read_graph_file(args.graph)
-        b = _read_graph_file(args.reconstruction)
-    except (OSError, EdgeListParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    a = _read_graph_file(args.graph)
+    b = _read_graph_file(args.reconstruction)
     if graphs_equal(a, b):
         print("edge sets match")
         return 0
@@ -341,7 +324,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, EdgeListParseError, InfeasibleSpecError) as exc:
+        # unreadable or malformed input, an unwritable output path, or
+        # family parameters that admit no graph
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

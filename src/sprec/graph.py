@@ -103,10 +103,6 @@ class GraphBuilder:
         self.adj[v].append(u)
         self._edges.append((u, v) if u < v else (v, u))
 
-    @property
-    def m(self) -> int:
-        return len(self._edges)
-
     def to_graph(self) -> Graph:
         return Graph(self.n, self._edges)
 

@@ -35,8 +35,13 @@ class ReconstructionError(RuntimeError):
     """Base class for failures during a reconstruction run."""
 
 
-class LayeringInvariantError(ReconstructionError):
-    """Structural breach that signals a corrupted prefix or an invalid bound."""
+class InvariantViolation(ReconstructionError):
+    """A structural bound failed mid-run; the configured bound is suspect."""
+
+
+class LayeringInvariantError(InvariantViolation):
+    """Structural breach in the layering tree: a corrupted prefix or an
+    invalid bound."""
 
 
 @dataclass(frozen=True)

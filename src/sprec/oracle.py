@@ -92,11 +92,12 @@ class DistanceOracle:
     and an incomplete array row stores its radius, its vertex count and its
     frontier after its n distances.
 
-    query(u, v) answers from u's row, else from v's row, else grows u's ball
-    until it holds v, so callers that reuse one endpoint across many queries
-    should pass it first. batch_distances_from(s, ...) grows s's ball only
-    as far as its farthest uncached target and charges the batch in one
-    pass; its ledger, log and answers equal those of query(s, t) per target.
+    query(u, v) answers from u's row, else grows u's ball until it holds v;
+    it never reads v's row, so callers that reuse one endpoint across many
+    queries should pass it first. batch_distances_from(s, ...) grows s's
+    ball only as far as its farthest uncached target and charges the batch
+    in one pass; its ledger, log and answers equal those of query(s, t) per
+    target.
     It resumes s's row if s has one; otherwise the ball grows in a dense
     list that is dropped after the batch, as most batch sources are never
     asked again, so only single queries add rows to the cache. Where query
@@ -208,18 +209,11 @@ class DistanceOracle:
     # -- hidden-side distance computation ---------------------------------
 
     def _distance(self, u: int, v: int) -> int:
-        rows = self._rows
-        row = rows.get(u)
+        row = self._rows.get(u)
         if row is not None:
-            d = row.get(v, -1) if type(row) is dict else row[v]
+            d = _held(row, v)
             if d >= 0:
-                rows.move_to_end(u)
-                return d
-        row = rows.get(v)
-        if row is not None:
-            d = row.get(u, -1) if type(row) is dict else row[u]
-            if d >= 0:
-                rows.move_to_end(v)
+                self._rows.move_to_end(u)
                 return d
         return self._grow(u, [v])[v]
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .graph import Graph, GraphBuilder, components_masked, neighbors_of_set
 from .layering import (
+    InvariantViolation,
     Layering,
     LayeringTree,
     ReconstructionError,
@@ -27,10 +28,6 @@ from .layering import (
 from .oracle import DistanceOracle, QueryLedger, QueryPhase
 
 GraphLike = Graph | GraphBuilder
-
-
-class InvariantViolation(ReconstructionError):
-    """A structural bound failed mid-run; the configured bound is suspect."""
 
 
 class BudgetExceeded(ReconstructionError):
@@ -428,15 +425,3 @@ def reconstruct(
         root=root,
     )
 
-
-def reconstruct_naive(oracle: DistanceOracle) -> Graph:
-    """Baseline: query every unordered pair; edge iff distance one."""
-    n = oracle.n
-    builder = GraphBuilder(n)
-    for u in range(n - 1):
-        for v, d in oracle.batch_distances_from(
-            u, range(u + 1, n), QueryPhase.BASELINE
-        ).items():
-            if d == 1:
-                builder.add_edge(u, v)
-    return builder.to_graph()

@@ -26,9 +26,10 @@ from sprec import (
     max_degree,
     reconstruct,
     tree_length,
-    verify_family_invariants,
 )
 from sprec.reconstruct import _grow_tree
+
+from .baselines import verify_family_invariants
 
 
 def brute_all_pairs(g: Graph) -> list[list[int]]:

@@ -26,13 +26,13 @@ from sprec import (
     graphs_equal,
     max_degree,
     reconstruct,
-    reconstruct_naive,
     tree_length,
 )
 from sprec.cli import main as cli_main
 from sprec.layering import centroid
 from sprec.reconstruct import _AncestorSearch, _grow_tree
 
+from .baselines import reconstruct_naive
 from .conftest import (
     brute_components,
     prefix_graph,

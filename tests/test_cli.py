@@ -138,12 +138,46 @@ class TestReconstruct:
         stdout = capsys.readouterr().out
         assert "correct=true" in stdout and "q_total=0" in stdout
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("4 2\n0 1\n2 3\n", "connected"), ("0 0\n", "out of range")],
+        ids=["disconnected", "empty"],
+    )
+    def test_ell_from_truth_on_a_graph_with_no_layering(self, tmp_path, capsys, text, reason):
+        src = tmp_path / "bad.edges"
+        src.write_text(text)
+        assert main(["reconstruct", str(src), "--ell-from-truth"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+
     def test_parse_error_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"
         bad.write_text("2 1\n0 0\n")
         rc = main(["reconstruct", str(bad)])
         assert rc == 1
         assert "self-loop" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--family", "cycle", "--n", "6", "--delta", "2", "--out", "{missing}"],
+        ["reconstruct", "{src}", "--out", "{missing}"],
+        ["reconstruct", "{src}", "--log-queries", "{missing}"],
+        ["bench", "--family", "cycle", "--sizes", "6", "--delta", "2",
+         "--ell-from-truth", "--out", "{missing}"],
+        ["bench", "--family", "cycle", "--sizes", "6", "--delta", "2",
+         "--ell-from-truth", "--out", "{ok}", "--json", "{missing}"],
+    ],
+    ids=["generate-out", "reconstruct-out", "log-queries", "bench-out", "bench-json"],
+)
+def test_output_in_a_missing_directory_is_an_error(tmp_path, capsys, args):
+    src = tmp_path / "c6.edges"
+    write_graph(src, cycle(6))
+    paths = {"src": src, "missing": tmp_path / "no-such-dir" / "out", "ok": tmp_path / "b.csv"}
+    assert main([a.format(**paths) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no-such-dir" in err
 
 
 class TestVerify:

@@ -10,15 +10,18 @@ from sprec import (
     KTREE,
     RANDOM_TREE,
     RING_OF_CLIQUES,
-    SplitMix64,
     build_layering,
     build_layering_tree,
     generate,
     graphs_equal,
-    is_chordal,
     is_connected,
-    perfect_elimination_ordering,
     tree_length,
+)
+from sprec.generate import SplitMix64
+
+from .baselines import (
+    is_chordal,
+    perfect_elimination_ordering,
     verify_family_invariants,
 )
 

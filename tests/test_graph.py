@@ -8,16 +8,14 @@ from sprec import (
     EdgeListParseError,
     Graph,
     GraphBuilder,
-    UNREACHABLE,
     bfs_distances,
-    components_masked,
     graphs_equal,
     is_connected,
     max_degree,
-    neighbors_of_set,
     read_edge_list,
     write_edge_list,
 )
+from sprec.graph import UNREACHABLE, components_masked, neighbors_of_set
 
 from .conftest import brute_all_pairs, brute_components, random_graph
 

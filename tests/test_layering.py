@@ -11,11 +11,10 @@ from sprec import (
     build_layering,
     build_layering_tree,
     generate,
-    layering_from_depths,
     max_degree,
     tree_length,
 )
-from sprec.layering import centroid
+from sprec.layering import centroid, layering_from_depths
 from sprec.reconstruct import _AncestorSearch, _grow_tree
 
 from .conftest import (

@@ -225,11 +225,17 @@ class TestTruncatedBalls:
         assert o.batch_distances_from(0, [20, 1, 3], ANC) == {20: 20, 1: 1, 3: 3}
         assert o.batch_distances_from(39, [0, 38], ANC) == {0: 39, 38: 1}
 
-    def test_other_endpoint_ball_answers_only_what_it_holds(self):
+    def test_query_reads_only_the_first_endpoint_ball(self):
         o = DistanceOracle(path(40))
         o.query(10, 12, ANC)  # ball of radius 2 around 10
-        assert o.query(12, 10, ANC) == 2
+        assert o.query(12, 10, ANC) == 2  # the pair cache, in either order
+        assert o.query(10, 11, ANC) == 1  # 10's ball holds 11
+        assert o.stats == OracleStats(balls_started=1, visited=5)
+        # reversed: 10's ball holds 9, but 9 is first, so 9's ball grows
+        assert o.query(9, 10, ANC) == 1
+        assert o.stats == OracleStats(balls_started=2, visited=8)
         assert o.query(30, 10, ANC) == 20
+        assert o.stats.balls_started == 3 and sorted(o._rows) == [9, 10, 30]
 
     def test_forced_eviction(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", 0)

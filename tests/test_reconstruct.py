@@ -21,11 +21,11 @@ from sprec import (
     graphs_equal,
     max_degree,
     reconstruct,
-    reconstruct_naive,
     tree_length,
 )
 from sprec.reconstruct import _AncestorSearch, _grow_tree
 
+from .baselines import reconstruct_naive
 from .conftest import brute_anc, capped_tree, prefix_graph, random_graph
 
 
