@@ -14,6 +14,7 @@ between identical runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -77,6 +78,8 @@ def _write_graph_file(path: str, g: Graph) -> None:
 
 
 def _ell_from_truth(hidden: Graph) -> int:
+    if hidden.n < 1:  # the oracle's own error, not the layering's
+        raise ValueError("hidden graph must have at least one vertex")
     layering = build_layering(hidden, 0)
     return tree_length(hidden, build_layering_tree(hidden, layering))
 
@@ -141,27 +144,23 @@ def run_one(
     return record, oracle
 
 
-def _emit_records(records: list[dict], out_path: str, json_path: str | None) -> None:
+def _emit_records(records: list[dict], out: io.TextIOBase, mirror: io.TextIOBase | None) -> None:
     records = sorted(
         records,
         key=lambda r: (r["family"], r["n"], r["delta"], str(r["tau"]), r["ell"], r["seed"]),
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
         writer.writerow([rec[col] for col in CSV_COLUMNS])
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
-    if json_path:
+    if mirror is not None:
         payload = []
         for rec in records:
             row = {col: rec[col] for col in CSV_COLUMNS}
             row.update(rec["_extras"])
             payload.append(row)
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        json.dump(payload, mirror, indent=2, sort_keys=True)
+        mirror.write("\n")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -216,30 +215,34 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = args.sizes
     records: list[dict] = []
-    for n in sizes:
-        for rep in range(args.repeats):
-            seed = args.seed + rep
-            spec = FamilySpec(
-                family=args.family,
-                n=n,
-                max_degree=args.delta,
-                k=args.k,
-                clique_size=args.clique_size,
-                seed=seed,
-            )
-            hidden, _ = generate(spec)
-            ell = _ell_from_truth(hidden) if args.ell_from_truth else None
-            record, _ = run_one(
-                hidden,
-                family=args.family,
-                delta=args.delta,
-                tau=None if args.ell_from_truth else args.tau,
-                ell=ell,
-                seed=seed,
-                strict_budget=args.strict_budget,
-            )
-            records.append(record)
-    _emit_records(records, args.out, args.json)
+    # both outputs are opened first, so a bad path fails before any run
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open(args.out, "w", encoding="utf-8"))
+        mirror = stack.enter_context(open(args.json, "w", encoding="utf-8")) if args.json else None
+        for n in sizes:
+            for rep in range(args.repeats):
+                seed = args.seed + rep
+                spec = FamilySpec(
+                    family=args.family,
+                    n=n,
+                    max_degree=args.delta,
+                    k=args.k,
+                    clique_size=args.clique_size,
+                    seed=seed,
+                )
+                hidden, _ = generate(spec)
+                ell = _ell_from_truth(hidden) if args.ell_from_truth else None
+                record, _ = run_one(
+                    hidden,
+                    family=args.family,
+                    delta=args.delta,
+                    tau=None if args.ell_from_truth else args.tau,
+                    ell=ell,
+                    seed=seed,
+                    strict_budget=args.strict_budget,
+                )
+                records.append(record)
+        _emit_records(records, out, mirror)
 
     print(f"family={args.family} delta={args.delta} repeats={args.repeats}")
     print(f"{'n':>8} {'runs':>5} {'mean_q':>12} {'q/(n*log2(n))':>14} {'naive_pairs':>12}")

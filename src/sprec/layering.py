@@ -5,11 +5,12 @@ layer j are the intersections of layer j with the connected components of the
 graph minus all shallower layers; parts partition each layer and form a tree
 in which every part's parent sits one layer up.
 
-build_layering_tree computes the full tree from a completely known graph
-(ground truth for tests and benchmarks). The reconstruction grows a
-depth-capped tree one layer at a time with LayeringTree.append_layer, from
-component labels of the known prefix; part ids are assigned so that both
-agree exactly on the layers they share.
+layer_parts reads the parts off a completely known graph, and
+build_layering_tree builds the full tree from them (ground truth for tests
+and benchmarks; the oracle ranks hidden vertices by the parts). The
+reconstruction grows a depth-capped tree one layer at a time with
+LayeringTree.append_layer, from component labels of the known prefix; part
+ids are assigned so that both agree exactly on the layers they share.
 """
 
 from __future__ import annotations
@@ -246,8 +247,10 @@ class LayeringTree:
                 p = parent[p]
 
 
-def build_layering_tree(g: GraphLike, layering: Layering) -> LayeringTree:
-    """Full layering tree of a completely known graph.
+def layer_parts(g: GraphLike, layering: Layering) -> list[list[list[int]]]:
+    """The parts of each layer of a completely known graph, in (layer, min
+    vertex id) order, each as an ascending vertex list: the part ids of its
+    layering tree.
 
     Processes layers deepest-first with a union-find, so each layer's parts
     are read off when the layer joins; total cost is near-linear in n + m.
@@ -261,7 +264,6 @@ def build_layering_tree(g: GraphLike, layering: Layering) -> LayeringTree:
             x = parent[x]
         return x
 
-    depth = layering.depth
     active = [False] * n
     groups_per_layer: list[list[list[int]]] = []
     for k in range(layering.num_layers - 1, -1, -1):
@@ -279,9 +281,13 @@ def build_layering_tree(g: GraphLike, layering: Layering) -> LayeringTree:
             groups.setdefault(find(v), []).append(v)
         groups_per_layer.append(list(groups.values()))
     groups_per_layer.reverse()
+    return groups_per_layer
 
-    tree = LayeringTree(n)
-    for k, groups in enumerate(groups_per_layer):
+
+def build_layering_tree(g: GraphLike, layering: Layering) -> LayeringTree:
+    """Full layering tree of a completely known graph."""
+    tree = LayeringTree(g.n)
+    for k, groups in enumerate(layer_parts(g, layering)):
         labels: dict[int, int] = {}
         for vs in groups:
             for v in vs:

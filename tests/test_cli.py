@@ -15,6 +15,7 @@ from sprec import (
     read_edge_list,
     write_edge_list,
 )
+import sprec.cli as cli
 from sprec.cli import main
 from sprec.oracle import OracleStats
 
@@ -140,7 +141,7 @@ class TestReconstruct:
 
     @pytest.mark.parametrize(
         "text, reason",
-        [("4 2\n0 1\n2 3\n", "connected"), ("0 0\n", "out of range")],
+        [("4 2\n0 1\n2 3\n", "connected"), ("0 0\n", "at least one vertex")],
         ids=["disconnected", "empty"],
     )
     def test_ell_from_truth_on_a_graph_with_no_layering(self, tmp_path, capsys, text, reason):
@@ -171,13 +172,18 @@ class TestReconstruct:
     ],
     ids=["generate-out", "reconstruct-out", "log-queries", "bench-out", "bench-json"],
 )
-def test_output_in_a_missing_directory_is_an_error(tmp_path, capsys, args):
+def test_output_in_a_missing_directory_is_an_error(tmp_path, capsys, monkeypatch, args):
     src = tmp_path / "c6.edges"
     write_graph(src, cycle(6))
     paths = {"src": src, "missing": tmp_path / "no-such-dir" / "out", "ok": tmp_path / "b.csv"}
+    runs = []
+    real_run_one = cli.run_one
+    monkeypatch.setattr(cli, "run_one", lambda *a, **kw: runs.append(a) or real_run_one(*a, **kw))
     assert main([a.format(**paths) for a in args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no-such-dir" in err
+    if args[0] == "bench":  # a sweep fails on its outputs before its first run
+        assert runs == []
 
 
 class TestVerify:
@@ -252,8 +258,8 @@ class TestBench:
         mirror = tmp_path / "bench.json"
         rc = main(
             [
-                "bench", "--family", "ktree", "--k", "2", "--sizes", "64",
-                "--delta", "8", "--tau", "1", "--out", str(tmp_path / "bench.csv"),
+                "bench", "--family", "caterpillar", "--sizes", "64",
+                "--delta", "4", "--tau", "1", "--out", str(tmp_path / "bench.csv"),
                 "--json", str(mirror),
             ]
         )
@@ -262,7 +268,11 @@ class TestBench:
         stats = OracleStats(**row["oracle_stats"])
         # the root scan alone is one throwaway batch ball over all 64 vertices
         assert stats.balls_transient >= 1 and stats.visited >= 64
-        assert stats.evicted == 0
+        # ancestor queries read labels, built once; a caterpillar's fit the budget
+        assert row["q_anc"] > 0
+        assert 64 <= stats.label_entries <= stats.label_visits
+        assert stats.label_entries <= 4 * 64 * 6 and stats.label_seconds > 0
+        assert stats.fallback_rows == stats.evicted == 0
 
     def test_failing_sweep_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 from unittest import mock
@@ -11,6 +12,7 @@ from sprec.oracle import OracleStats
 from sprec import (
     BudgetExceeded,
     DistanceOracle,
+    FAMILIES,
     FamilySpec,
     Graph,
     QueryPhase,
@@ -184,40 +186,9 @@ class TestBatch:
 
 
 class TestTruncatedBalls:
-    """A query or a batch grows its source's ball only as far as it must;
-    every later answer must still be exact."""
-
-    def test_query_beyond_a_truncated_ball(self):
-        o = DistanceOracle(path(40))
-        assert o.query(0, 2, ANC) == 2
-        assert oracle_module._held(o._rows[0], 30) == -1  # a ball, not a row
-        assert o.query(0, 30, ANC) == 30
-        assert oracle_module._held(o._rows[0], 31) == -1  # still a ball
-        assert o.query(25, 0, ANC) == 25
-
-    def test_query_beyond_a_ball_resumes_it(self):
-        o = DistanceOracle(path(200))
-        o.query(0, 3, ANC)
-        assert type(o._rows[0]) is dict  # 4 vertices, under n/16
-        assert o.stats == OracleStats(balls_started=1, visited=4)
-        assert o.query(0, 20, ANC) == 20
-        # only levels 4 to 20 are new; the row turned dense on the way
-        assert type(o._rows[0]) is not dict
-        assert o.stats == OracleStats(balls_started=1, balls_resumed=1, visited=21)
-        assert o.batch_distances_from(0, [5, 199], ANC) == {5: 5, 199: 199}
-        assert o.stats == OracleStats(balls_started=1, balls_resumed=2, visited=200)
-        assert len(o._rows[0]) == 200  # complete: no frontier is kept
-
-    def test_part_grown_ball_is_evicted_with_its_frontier(self, monkeypatch):
-        o = DistanceOracle(path(40))
-        o.query(0, 3, ANC)
-        assert list(o._rows[0][40:]) == [3, 4, 3]  # radius, size, frontier
-        # room for this row and its frontier, not for a second row
-        monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", o._row_bytes)
-        o.query(39, 37, ANC)
-        assert list(o._rows) == [39] and o.stats.evicted == 1
-        assert o.query(0, 6, ANC) == 6  # a fresh ball, not a resumed one
-        assert o.stats.balls_started == 3 and o.stats.balls_resumed == 0
+    """A batch grows its source's ball only as far as it must, and single
+    queries past the label budget read complete rows; every later answer
+    must still be exact."""
 
     def test_later_batch_beyond_the_ball(self):
         o = DistanceOracle(path(40))
@@ -225,19 +196,22 @@ class TestTruncatedBalls:
         assert o.batch_distances_from(0, [20, 1, 3], ANC) == {20: 20, 1: 1, 3: 3}
         assert o.batch_distances_from(39, [0, 38], ANC) == {0: 39, 38: 1}
 
-    def test_query_reads_only_the_first_endpoint_ball(self):
+    def test_query_reads_only_the_first_endpoint_ball(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", 0)
         o = DistanceOracle(path(40))
-        o.query(10, 12, ANC)  # ball of radius 2 around 10
+        o.query(10, 12, ANC)  # labels over budget: a complete row from 10
+        assert o._labels == [] and o.stats.fallback_rows == 1
         assert o.query(12, 10, ANC) == 2  # the pair cache, in either order
-        assert o.query(10, 11, ANC) == 1  # 10's ball holds 11
-        assert o.stats == OracleStats(balls_started=1, visited=5)
-        # reversed: 10's ball holds 9, but 9 is first, so 9's ball grows
+        assert o.query(10, 11, ANC) == 1  # 10's row holds 11
+        assert o.stats.fallback_rows == 1 and o.stats.visited == 40
+        # reversed: 10's row holds 9, but 9 is first, so 9's row is built
         assert o.query(9, 10, ANC) == 1
-        assert o.stats == OracleStats(balls_started=2, visited=8)
+        assert o.stats.fallback_rows == 2 and o.stats.visited == 80
         assert o.query(30, 10, ANC) == 20
-        assert o.stats.balls_started == 3 and sorted(o._rows) == [9, 10, 30]
+        assert o.stats.fallback_rows == 3 and sorted(o._rows) == [9, 10, 30]
 
     def test_forced_eviction(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", 0)
         monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", 0)
         rng = random.Random(3)
         g = random_graph(rng, 300, 150)
@@ -250,43 +224,134 @@ class TestTruncatedBalls:
             assert out == {t: table[s][t] for t in targets}
             u, v = rng.randrange(g.n), rng.randrange(g.n)
             assert o.query(u, v, ANC) == table[u][v]
-            assert len(o._rows) == 1  # only the newest row survives
+            assert len(o._rows) <= 1  # only the newest row survives
+        assert o.stats.fallback_rows > 1
+        assert o.stats.evicted == o.stats.fallback_rows - 1
 
 
 class TestTransientBalls:
-    """A batch from a source with no kept row grows a ball that is never
-    cached; a batch from a source with a kept row resumes that row."""
+    """A batch grows a ball that is never cached and builds no labels."""
 
     def test_batch_without_a_row_keeps_none(self):
         o = DistanceOracle(path(40))
         assert o.batch_distances_from(5, [9, 1, 9], ANC) == {9: 4, 1: 4}
-        assert o._rows == {} and o._row_bytes == 0
+        assert o._rows == {} and o._labels is None and o._ball is None
         # radius 4 around 5: vertices 1 to 9
         assert o.stats == OracleStats(balls_transient=1, visited=9)
         assert o.batch_distances_from(5, [9, 12], ANC) == {9: 4, 12: 7}
-        # a second ball from 5, not a resumed one: radius 7, vertices 0 to 12
-        assert o._rows == {}
+        # a second ball from 5: radius 7, vertices 0 to 12
+        assert o._rows == {} and o._labels is None
         assert o.stats == OracleStats(balls_transient=2, visited=9 + 13)
 
-    def test_batch_from_a_kept_row_resumes_it(self):
-        o = DistanceOracle(path(40))
-        assert o.query(5, 7, ANC) == 2
-        row = o._rows[5]
-        assert o.batch_distances_from(5, [12, 1], ANC) == {12: 7, 1: 4}
-        assert o._rows[5] is row and oracle_module._held(row, 12) == 7
-        assert oracle_module._held(row, 13) == -1  # grown only as far as 12
-        assert o.stats == OracleStats(balls_started=1, balls_resumed=1, visited=13)
+    def test_overridden_query_reads_the_batch_ball(self):
+        class Counting(DistanceOracle):
+            def query(self, u, v, phase):
+                if v == 39:
+                    raise KeyError(v)
+                return super().query(u, v, phase)
 
-    def test_kept_rows_come_from_ancestor_queries(self):
+        o = Counting(path(40), log_queries=True)
+        assert o.batch_distances_from(5, [9, 1, 5], ANC) == {9: 4, 1: 4, 5: 0}
+        # the ball answered every target: no labels, no rows, no slot left
+        assert o._labels is None and o._rows == {} and o._ball is None
+        assert o.stats == OracleStats(balls_transient=1, visited=9)
+        with pytest.raises(KeyError):
+            o.batch_distances_from(5, [12, 39], ANC)
+        assert o._ball is None and o._labels is None
+        assert o.query(5, 20, ANC) == 15  # a single query builds the labels
+        assert o.stats.label_entries > 0 and o._rows == {}
+
+
+class TestDistanceLabels:
+    """Single queries read pruned landmark labels of the hidden graph, built
+    at the first one in separator order, or complete rows past the budget."""
+
+    def test_labels_are_built_at_the_first_single_query(self):
+        o = DistanceOracle(cycle(9))
+        o.batch_distances_from(0, range(9), ANC)
+        assert o._labels is None and o.stats.label_entries == 0
+        assert o.query(2, 6, ANC) == 4
+        built = dataclasses.replace(o.stats)
+        assert 9 <= built.label_entries <= built.label_visits and built.label_seconds > 0
+        assert [o.query(u, v, ANC) for u, v in [(0, 5), (3, 8), (1, 7)]] == [4, 4, 3]
+        assert o.stats == built and o._rows == {}
+
+    def test_separator_order_ranks_a_part_together(self):
+        # C6 from 0 has parts {0}, {1, 5}, {2, 4}, {3}; weighted by vertex
+        # count, {1, 5} is the centroid of the path of parts
+        assert oracle_module._separator_order(cycle(6)) == [1, 5, 2, 4, 0, 3]
+        # then the centroids of the pieces each centroid leaves, breadth first
+        assert oracle_module._separator_order(path(7)) == [3, 5, 1, 6, 4, 2, 0]
+
+    def test_zero_budget_falls_back_to_lru_rows(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", 0)
+        g = cycle(64)
+        monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", 2 * 4 * g.n)  # two rows
+        table = brute_all_pairs(g)
+        o = DistanceOracle(g)
+        for u, v in [(0, 32), (1, 40), (0, 50), (2, 3)]:
+            assert o.query(u, v, ANC) == table[u][v]
+        # the build stopped at its first root's n entries and left no labels
+        assert o._labels == [] and o.stats.label_entries == g.n
+        # 0 was read again after 1, so 1 left first
+        assert list(o._rows) == [0, 2]
+        assert o.stats.fallback_rows == 3 and o.stats.evicted == 1
+        assert all(list(row) == table[s] for s, row in o._rows.items())
+
+    def test_ancestor_queries_read_labels_and_batches_keep_no_rows(self):
         # a 2-tree asks most of its queries in neighbour-search batches;
         # none of those may leave a row behind
         n = 1024
         hidden, _ = generate(FamilySpec(family="ktree", n=n, max_degree=8, k=2, seed=0))
-        o = DistanceOracle(hidden, log_queries=True)
+        o = DistanceOracle(hidden)
         reconstruct(o, ReconstructionConfig(tau=1, strict_budget=True, max_degree=8))
-        sources = {u for u, _, _, phase in o.ledger.log if phase == ANC.value}
-        assert o._rows and set(o._rows) <= sources
+        assert o.ledger.per_phase[ANC] > 0
+        assert o._labels and o._rows == {} and o.stats.fallback_rows == 0
+        assert 0 < o.stats.label_entries <= 4 * n * 10
         assert o.stats.balls_transient >= n - 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_labels_match_bfs_on_every_family(self, data):
+        family = data.draw(st.sampled_from(FAMILIES))
+        spec = data.draw(small_spec(family))
+        hidden, _ = generate(spec)
+        check_all_pairs(hidden)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bounded_degree_labels_overflow_to_exact_rows(self, seed):
+        n = 512
+        hidden, _ = generate(
+            FamilySpec(family="bounded-degree-connected", n=n, max_degree=4, seed=seed))
+        o = check_all_pairs(hidden)
+        assert o._labels == [] and o.stats.label_entries > 4 * n * 9
+        assert o.stats.fallback_rows == n - 1 and o.stats.evicted == 0
+
+
+def small_spec(family):
+    """Feasible FamilySpecs of family with at most 60 vertices."""
+    seed = st.integers(0, 2**32 - 1)
+    if family == "ktree":
+        return st.builds(lambda k, n, s: FamilySpec(family, n, 4 * k, k=k, seed=s),
+                         st.integers(1, 3), st.integers(4, 60), seed)
+    if family == "ring-of-cliques":
+        return st.builds(lambda c, m, s: FamilySpec(family, c * m, c + 1, clique_size=c, seed=s),
+                         st.integers(1, 4), st.integers(1, 15), seed)
+    return st.builds(lambda n, d, s: FamilySpec(family, n, d, seed=s),
+                     st.integers(3, 60), st.integers(2, 5), seed)
+
+
+def check_all_pairs(hidden):
+    """Check that query answers every pair of hidden as BFS does; return the
+    oracle."""
+    table = brute_all_pairs(hidden)
+    o = DistanceOracle(hidden)
+    for u in range(hidden.n):
+        for v in range(u + 1, hidden.n):
+            assert o.query(u, v, ANC) == table[u][v]
+    if o._labels:
+        assert o.stats.fallback_rows == 0
+    return o
 
 
 @st.composite
@@ -306,9 +371,9 @@ def interleaved_calls(draw, n_range):
         itself = [s] * draw(st.integers(0, 2))
         return "batch", s, draw(st.permutations(targets + repeats + itself))
 
-    # "out" marks a call from one hub to its next ring outward, so the hub's
-    # ball is resumed after partial growth, level by level, and crosses the
-    # n/16 line from dict to array in a resume
+    # "out" marks a call from one hub to its next ring outward, so the hub is
+    # asked again and again at rising distances: its batches grow balls of
+    # rising radius, and past the label budget its queries reuse one row
     out = st.tuples(st.just("out"), st.sampled_from(["batch", "query"]),
                     st.integers(0, 2), st.integers(0, n))
     call = st.one_of(batch(), st.tuples(st.just("query"), vertex, vertex), out)
@@ -326,10 +391,13 @@ def interleaved_calls(draw, n_range):
                 calls[i] = ("batch", hub, [far, *ring[:pick % 3]])
             else:
                 calls[i] = ("query", hub, far)
-    # the default row budget, none at all, or room for four dense rows; the
-    # last two evict balls part-grown
-    budget = draw(st.sampled_from([oracle_module._ROW_CACHE_BYTES, 0, 16 * n]))
-    return graph, calls, budget
+    # labels within the default budget or none at all; then the default row
+    # budget, none at all, or room for four rows, the last two evicting rows
+    budgets = {
+        "_LABEL_BUDGET": draw(st.sampled_from([oracle_module._LABEL_BUDGET, 0])),
+        "_ROW_CACHE_BYTES": draw(st.sampled_from([oracle_module._ROW_CACHE_BYTES, 0, 16 * n])),
+    }
+    return graph, calls, budgets
 
 
 def rings_around(graph, s):
@@ -348,40 +416,35 @@ def rings_around(graph, s):
         rings.append(ring)
 
 
-def check_rows(o, table):
-    """Every cached row is an exact ball around its source, sparse below
-    n/16 vertices, that keeps its last level unless it is complete; the
-    cache's byte count adds up."""
+def check_rows(o, table, touched):
+    """No batch ball is left behind; every fallback row is its source's
+    complete row, and the rows fit the row budget; built labels answer
+    every pair from a touched vertex exactly, and leave no row."""
     n = o.n
+    assert o._ball is None
     for s, row in o._rows.items():
-        held = {v: oracle_module._held(row, v) for v in range(n)}
-        held = {v: d for v, d in held.items() if d >= 0}
-        radius = max(held.values())
-        assert held == {v: d for v, d in enumerate(table[s]) if d <= radius}
-        if type(row) is dict:
-            assert 16 * len(held) < n
-            assert list(row.values()) == sorted(row.values())  # BFS order
-        elif len(held) < n:
-            assert 16 * len(held) >= n
-            assert list(row[n:n + 2]) == [radius, len(held)]
-            assert sorted(row[n + 2:]) == [v for v, d in sorted(held.items()) if d == radius]
-        else:
-            assert len(row) == n
-    assert o._row_bytes == sum(map(oracle_module._row_bytes, o._rows.values()))
+        assert list(row) == table[s]
+    assert len(o._rows) <= max(1, oracle_module._ROW_CACHE_BYTES // (4 * n))
+    if o._labels:
+        assert not o._rows
+        for u in touched:
+            assert [o._distance(u, v) for v in range(n)] == table[u]
 
 
-def check_interleaved(graph, calls, budget):
+def check_interleaved(graph, calls, budgets):
     table = brute_all_pairs(graph)
     o = DistanceOracle(graph)
-    with mock.patch.object(oracle_module, "_ROW_CACHE_BYTES", budget):
+    with mock.patch.multiple(oracle_module, **budgets):
         for kind, a, b in calls:
             if kind == "batch":
                 out = o.batch_distances_from(a, b, ANC)
                 assert out == {t: table[a][t] for t in b}
+                touched = [a]
             else:
                 assert o.query(a, b, ANC) == table[a][b]
                 assert o.query(b, a, ANC) == table[b][a]
-            check_rows(o, table)
+                touched = [a, b]
+            check_rows(o, table, touched)
 
 
 def ledger_state(o):
@@ -389,12 +452,12 @@ def ledger_state(o):
     return ledger.distinct_queries, ledger.raw_calls, ledger.per_phase, ledger.log
 
 
-def check_batch_matches_queries(graph, calls, budget):
+def check_batch_matches_queries(graph, calls, budgets):
     """A batch's answers and accounting equal one query per distinct target."""
     table = brute_all_pairs(graph)
     batched = DistanceOracle(graph, log_queries=True)
     single = DistanceOracle(graph, log_queries=True)
-    with mock.patch.object(oracle_module, "_ROW_CACHE_BYTES", budget):
+    with mock.patch.multiple(oracle_module, **budgets):
         for kind, a, b in calls:
             if kind == "batch":
                 out = batched.batch_distances_from(a, b, ANC)
@@ -440,15 +503,17 @@ class TestInterleavedProperty:
 
 class TestSimulatorWork:
     def test_caterpillar_visits_stay_under_half_n_squared(self):
-        # a complete row per pivot neighbour visited 1,046,524 vertices here
-        # (about n^2); balls resumed from their frontiers visit 443,414,
-        # with 1,008 kept balls and 1,023 throwaway batch balls
+        # a BFS ball per pivot neighbour, grown out to each query, visits
+        # about 0.42 n^2 vertices here (443,414); with ancestor queries read
+        # from labels, the 1,023 throwaway batch balls visit 14,332 and the
+        # label build 9,742
         n = 1024
         hidden, _ = generate(FamilySpec(family="caterpillar", n=n, max_degree=4, seed=0))
         o = DistanceOracle(hidden)
         reconstruct(o, ReconstructionConfig(tau=1, strict_budget=True, max_degree=4))
-        assert o.stats.visited <= n * n // 2
-        assert o.stats.balls_started <= n and o.stats.evicted == 0
+        assert o.stats.visited + o.stats.label_visits <= 32 * n
+        assert o.stats.label_entries <= 16 * n  # a bit over 8 per vertex
+        assert o.stats.fallback_rows == o.stats.evicted == 0
         assert o.stats.balls_transient <= n
 
 
