@@ -161,8 +161,10 @@ class _AncestorSearch:
             best_w = -1
             best_d = -1
             for w in self._neighbors[node.pivot]:
-                # w first: every vertex of the layer probes the same pivot
-                # neighborhoods, so the oracle's per-source rows get reused.
+                # (w, x), not (x, w): the query-log pins record this order.
+                # Labels answer either order alike; only once they overflow
+                # does w first pay, as the layer's vertices all probe the
+                # same pivot neighbours and reuse their fallback rows.
                 d = oracle.query(w, x, QueryPhase.ANCESTOR_SEARCH)
                 if best_w < 0 or d < best_d:
                     best_w, best_d = w, d

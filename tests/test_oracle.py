@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import io
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -78,13 +80,15 @@ class TestQuery:
 
     @pytest.mark.parametrize("u, v", [(0.25, 1), (1, 2.0), ("1", 2), (None, 0)])
     def test_non_integer_vertex_charges_nothing(self, u, v):
-        # with pair keys u * n + v, (0.25, 1) at n=4 would read pair (0, 2)
+        # 2.0 == 2 with the same hash, so (1, 2.0) would find pair (1, 2)
+        # among the answered pairs: a bad vertex must fail before the cache
         o = DistanceOracle(path(4), log_queries=True)
         with pytest.raises(TypeError, match=r"vertices \(.*\) must be integers"):
             o.query(u, v, ANC)
         assert o.ledger.raw_calls == 0 and o.ledger.log == []
-        assert o._rows == {} and o._pair_cache == {}
-        assert o.query(0, 2, ANC) == 2
+        assert o.ledger.distinct_queries == 0 and o._rows == {}
+        assert o.query(0, 2, ANC) == 2 and o.ledger.distinct_queries == 1
+        assert o.query(1, 2, ANC) == 1 and o.ledger.distinct_queries == 2
 
     def test_int_like_values_are_vertices(self):
         class Vertex(int):
@@ -175,14 +179,17 @@ class TestBatch:
         o = DistanceOracle(path(3))
         with pytest.raises(TypeError, match=r"vertices \(.*\) must be integers"):
             o.batch_distances_from(s, [0, 2], ANC)
-        assert o._rows == {} and o._pair_cache == {} and o.ledger.raw_calls == 0
+        assert o._rows == {} and o.ledger.raw_calls == o.ledger.distinct_queries == 0
+        assert o.query(1, 2, ANC) == 1 and o.ledger.distinct_queries == 1
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, "2"])
     def test_non_integer_target_charges_nothing(self, bad):
         o = DistanceOracle(path(4))
         with pytest.raises(TypeError, match=r"vertices \(0, .*\) must be integers"):
             o.batch_distances_from(0, [1, bad, 3], ANC)
-        assert o._rows == {} and o._pair_cache == {} and o.ledger.raw_calls == 0
+        assert o._rows == {} and o.ledger.raw_calls == o.ledger.distinct_queries == 0
+        # target 1 came before the bad one and still has its pair to charge
+        assert o.query(0, 1, ANC) == 1 and o.ledger.distinct_queries == 1
 
 
 class TestTruncatedBalls:
@@ -431,19 +438,28 @@ def check_rows(o, table, touched):
             assert [o._distance(u, v) for v in range(n)] == table[u]
 
 
+def asked(a, targets):
+    """The unordered pairs (a, t) for t in targets, self-pairs left out."""
+    return {(min(a, t), max(a, t)) for t in targets if t != a}
+
+
 def check_interleaved(graph, calls, budgets):
     table = brute_all_pairs(graph)
     o = DistanceOracle(graph)
+    model = set()  # every pair asked so far, each charged once
     with mock.patch.multiple(oracle_module, **budgets):
         for kind, a, b in calls:
             if kind == "batch":
                 out = o.batch_distances_from(a, b, ANC)
                 assert out == {t: table[a][t] for t in b}
                 touched = [a]
+                model |= asked(a, b)
             else:
                 assert o.query(a, b, ANC) == table[a][b]
                 assert o.query(b, a, ANC) == table[b][a]
                 touched = [a, b]
+                model |= asked(a, [b])
+            assert o.ledger.distinct_queries == len(model)
             check_rows(o, table, touched)
 
 
@@ -457,19 +473,26 @@ def check_batch_matches_queries(graph, calls, budgets):
     table = brute_all_pairs(graph)
     batched = DistanceOracle(graph, log_queries=True)
     single = DistanceOracle(graph, log_queries=True)
+    # both oracles share one pair cache layout, so the distinct count is
+    # also checked against a plain set of the pairs asked
+    model = set()
     with mock.patch.multiple(oracle_module, **budgets):
         for kind, a, b in calls:
             if kind == "batch":
                 out = batched.batch_distances_from(a, b, ANC)
                 assert out == {t: single.query(a, t, ANC) for t in dict.fromkeys(b)}
                 assert list(out) == list(dict.fromkeys(b))
+                model |= asked(a, b)
             else:
                 assert batched.query(a, b, ANC) == single.query(a, b, ANC)
+                model |= asked(a, [b])
             assert ledger_state(batched) == ledger_state(single)
+            assert batched.ledger.distinct_queries == len(model)
         for kind, a, b in calls:
             for t in b if kind == "batch" else [b]:
                 for u, v in ((a, t), (t, a)):
                     assert batched.query(u, v, ANC) == single.query(u, v, ANC) == table[u][v]
+                    assert batched.ledger.distinct_queries == len(model)
         assert ledger_state(batched) == ledger_state(single)
 
 
@@ -515,6 +538,22 @@ class TestSimulatorWork:
         assert o.stats.label_entries <= 16 * n  # a bit over 8 per vertex
         assert o.stats.fallback_rows == o.stats.evicted == 0
         assert o.stats.balls_transient <= n
+
+    def test_answered_pairs_stay_lean(self):
+        # bytes the oracle still holds per charged pair once the run is
+        # over: a fresh int key per pair in one large dict held about 79,
+        # a small dict per vertex keyed by the partner holds about 42
+        hidden, _ = generate(FamilySpec(family="ktree", n=1024, max_degree=8, k=2, seed=0))
+        tracemalloc.start()
+        try:
+            o = DistanceOracle(hidden)
+            base = tracemalloc.get_traced_memory()[0]
+            reconstruct(o, ReconstructionConfig(tau=1, strict_budget=True, max_degree=8))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert kept <= 60 * o.ledger.distinct_queries
 
 
 class TestBudget:
