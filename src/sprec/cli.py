@@ -215,10 +215,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = args.sizes
     records: list[dict] = []
-    # both outputs are opened first, so a bad path fails before any run
+    # both outputs are opened first, so a bad path fails before any run, but
+    # only emptied once every run is done, so a failed sweep leaves them be
     with contextlib.ExitStack() as stack:
-        out = stack.enter_context(open(args.out, "w", encoding="utf-8"))
-        mirror = stack.enter_context(open(args.json, "w", encoding="utf-8")) if args.json else None
+        out = stack.enter_context(open(args.out, "a", encoding="utf-8"))
+        mirror = stack.enter_context(open(args.json, "a", encoding="utf-8")) if args.json else None
         for n in sizes:
             for rep in range(args.repeats):
                 seed = args.seed + rep
@@ -242,6 +243,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     strict_budget=args.strict_budget,
                 )
                 records.append(record)
+        for f in (out, mirror):
+            if f is not None:
+                f.truncate(0)
         _emit_records(records, out, mirror)
 
     print(f"family={args.family} delta={args.delta} repeats={args.repeats}")

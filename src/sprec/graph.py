@@ -107,18 +107,21 @@ class GraphBuilder:
         return Graph(self.n, self._edges)
 
 
+GraphLike = Graph | GraphBuilder
+
+
 def graphs_equal(a: Graph, b: Graph) -> bool:
     """Exact edge-set equality on the canonical form."""
     return a.n == b.n and a.adj == b.adj
 
 
-def max_degree(g: Graph | GraphBuilder) -> int:
+def max_degree(g: GraphLike) -> int:
     if g.n == 0:
         return 0
     return max(len(a) for a in g.adj)
 
 
-def bfs_distances(g: Graph | GraphBuilder, s: int) -> list[int]:
+def bfs_distances(g: GraphLike, s: int) -> list[int]:
     """BFS depth of every vertex from s; UNREACHABLE for other components."""
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range for n={g.n}")
@@ -136,15 +139,13 @@ def bfs_distances(g: Graph | GraphBuilder, s: int) -> list[int]:
     return dist
 
 
-def is_connected(g: Graph | GraphBuilder) -> bool:
+def is_connected(g: GraphLike) -> bool:
     if g.n <= 1:
         return True
     return UNREACHABLE not in bfs_distances(g, 0)
 
 
-def components_masked(
-    g: Graph | GraphBuilder, alive: Iterable[int]
-) -> dict[int, int]:
+def components_masked(g: GraphLike, alive: Iterable[int]) -> dict[int, int]:
     """Component label for each vertex of g restricted to `alive`.
 
     Two alive vertices get the same label iff they are connected in the
@@ -169,7 +170,7 @@ def components_masked(
     return labels
 
 
-def neighbors_of_set(g: Graph | GraphBuilder, vertices: Iterable[int]) -> set[int]:
+def neighbors_of_set(g: GraphLike, vertices: Iterable[int]) -> set[int]:
     """Open neighborhood: vertices outside the set adjacent to it."""
     inside = set(vertices)
     out: set[int] = set()

@@ -5,12 +5,11 @@ layer j are the intersections of layer j with the connected components of the
 graph minus all shallower layers; parts partition each layer and form a tree
 in which every part's parent sits one layer up.
 
-layer_parts reads the parts off a completely known graph, and
-build_layering_tree builds the full tree from them (ground truth for tests
-and benchmarks; the oracle ranks hidden vertices by the parts). The
-reconstruction grows a depth-capped tree one layer at a time with
-LayeringTree.append_layer, from component labels of the known prefix; part
-ids are assigned so that both agree exactly on the layers they share.
+build_layering_tree builds the full tree of a completely known graph (ground
+truth for tests and benchmarks). The reconstruction grows a depth-capped tree
+one layer at a time with LayeringTree.append_layer, from component labels of
+the known prefix; part ids are assigned so that both agree exactly on the
+layers they share.
 """
 
 from __future__ import annotations
@@ -18,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import (
-    Graph,
-    GraphBuilder,
-    UNREACHABLE,
-    bfs_distances,
-)
-
-GraphLike = Graph | GraphBuilder
+from .graph import GraphLike, UNREACHABLE, bfs_distances
 
 
 class PartialTreeError(ValueError):
@@ -247,13 +239,11 @@ class LayeringTree:
                 p = parent[p]
 
 
-def layer_parts(g: GraphLike, layering: Layering) -> list[list[list[int]]]:
-    """The parts of each layer of a completely known graph, in (layer, min
-    vertex id) order, each as an ascending vertex list: the part ids of its
-    layering tree.
+def build_layering_tree(g: GraphLike, layering: Layering) -> LayeringTree:
+    """Full layering tree of a completely known graph.
 
-    Processes layers deepest-first with a union-find, so each layer's parts
-    are read off when the layer joins; total cost is near-linear in n + m.
+    Joins layers deepest-first with a union-find, so each layer's parts are
+    read off when the layer joins; total cost is near-linear in n + m.
     """
     n = g.n
     parent = list(range(n))
@@ -265,9 +255,8 @@ def layer_parts(g: GraphLike, layering: Layering) -> list[list[list[int]]]:
         return x
 
     active = [False] * n
-    groups_per_layer: list[list[list[int]]] = []
-    for k in range(layering.num_layers - 1, -1, -1):
-        layer = layering.layers[k]
+    labels: list[dict[int, int]] = []  # component label per vertex, deepest layer first
+    for layer in reversed(layering.layers):
         for v in layer:
             active[v] = True
         for v in layer:
@@ -276,23 +265,10 @@ def layer_parts(g: GraphLike, layering: Layering) -> list[list[list[int]]]:
                     ru, rw = find(v), find(w)
                     if ru != rw:
                         parent[ru] = rw
-        groups: dict[int, list[int]] = {}
-        for v in layer:
-            groups.setdefault(find(v), []).append(v)
-        groups_per_layer.append(list(groups.values()))
-    groups_per_layer.reverse()
-    return groups_per_layer
-
-
-def build_layering_tree(g: GraphLike, layering: Layering) -> LayeringTree:
-    """Full layering tree of a completely known graph."""
-    tree = LayeringTree(g.n)
-    for k, groups in enumerate(layer_parts(g, layering)):
-        labels: dict[int, int] = {}
-        for vs in groups:
-            for v in vs:
-                labels[v] = vs[0]
-        tree.append_layer(k, labels, layering, g)
+        labels.append({v: find(v) for v in layer})
+    tree = LayeringTree(n)
+    for k, layer_labels in enumerate(reversed(labels)):
+        tree.append_layer(k, layer_labels, layering, g)
     return tree
 
 

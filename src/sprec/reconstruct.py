@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphBuilder, components_masked, neighbors_of_set
+from .graph import Graph, GraphBuilder, GraphLike, components_masked, neighbors_of_set
 from .layering import (
     InvariantViolation,
     Layering,
@@ -26,8 +26,6 @@ from .layering import (
     layering_from_depths,
 )
 from .oracle import DistanceOracle, QueryLedger, QueryPhase
-
-GraphLike = Graph | GraphBuilder
 
 
 class BudgetExceeded(ReconstructionError):

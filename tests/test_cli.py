@@ -219,6 +219,21 @@ class TestBench:
         assert all(int(r["q_rootbfs"]) == int(r["n"]) - 1 for r in rows)
         assert "q/(n*log2(n))" in capsys.readouterr().out
 
+    def test_failed_sweep_keeps_existing_outputs(self, tmp_path, capsys):
+        out, mirror = tmp_path / "keep.csv", tmp_path / "keep.json"
+        out.write_text("precious\n" * 100)
+        mirror.write_text("precious\n" * 100)
+        args = ["bench", "--family", "ring-of-cliques", "--clique-size", "3",
+                "--delta", "4", "--out", str(out), "--json", str(mirror)]
+        # n=12 runs, then n=13 admits no ring of 3-cliques
+        assert main(args + ["--sizes", "12,13"]) == 1
+        assert "not a multiple" in capsys.readouterr().err
+        assert out.read_text() == mirror.read_text() == "precious\n" * 100
+        # a sweep that finishes replaces them whole
+        assert main(args + ["--sizes", "12"]) == 0
+        assert len(list(csv.DictReader(out.read_text().splitlines()))) == 1
+        assert [r["n"] for r in json.loads(mirror.read_text())] == [12]
+
     def test_repeat_runs_are_identical_modulo_wall_time(self, tmp_path):
         outs = []
         for name in ("one.csv", "two.csv"):

@@ -283,12 +283,19 @@ class TestDistanceLabels:
         assert [o.query(u, v, ANC) for u, v in [(0, 5), (3, 8), (1, 7)]] == [4, 4, 3]
         assert o.stats == built and o._rows == {}
 
-    def test_separator_order_ranks_a_part_together(self):
-        # C6 from 0 has parts {0}, {1, 5}, {2, 4}, {3}; weighted by vertex
-        # count, {1, 5} is the centroid of the path of parts
-        assert oracle_module._separator_order(cycle(6)) == [1, 5, 2, 4, 0, 3]
-        # then the centroids of the pieces each centroid leaves, breadth first
+    def test_separator_order_centres_a_bfs_tree(self):
+        # the centroid first, then the centroids of the pieces each centroid
+        # leaves, breadth first
         assert oracle_module._separator_order(path(7)) == [3, 5, 1, 6, 4, 2, 0]
+        # C6's BFS tree from 0 hangs 3 from 2, its first neighbour one layer
+        # up, and 4 from 5: the path 3-2-1-0-5-4, whose centroid is 0
+        assert oracle_module._separator_order(cycle(6)) == [0, 2, 5, 3, 1, 4]
+
+    def test_three_tree_labels_stay_small(self):
+        n = 1024
+        hidden, _ = generate(FamilySpec(family="ktree", n=n, max_degree=12, k=3, seed=0))
+        o = DistanceOracle(hidden)
+        assert o._build_labels() and o.stats.label_entries <= 15 * n
 
     def test_zero_budget_falls_back_to_lru_rows(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", 0)
