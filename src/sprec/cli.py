@@ -185,27 +185,35 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     hidden = _read_graph_file(args.graph)
-    try:
-        # a disconnected or empty graph fails here with a ValueError
-        ell = _ell_from_truth(hidden) if args.ell_from_truth else args.ell
-        record, oracle = run_one(
-            hidden,
-            family="file",
-            delta=max_degree(hidden),
-            tau=args.tau if ell is None else None,
-            ell=ell,
-            seed=0,
-            strict_budget=args.strict_budget,
-            log_queries=args.log_queries is not None,
+    # both outputs are opened before the run, so a bad path fails first, but
+    # emptied only when written, so a run with no graph leaves --out be
+    with contextlib.ExitStack() as stack:
+        log, out = (
+            stack.enter_context(open(path, "a", encoding="utf-8")) if path else None
+            for path in (args.log_queries, args.out)
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.log_queries:
-        with open(args.log_queries, "w", encoding="utf-8") as fh:
-            oracle.write_query_log(fh)
-    if args.out and record["_result"] is not None:
-        _write_graph_file(args.out, record["_result"].graph)
+        try:
+            # a disconnected or empty graph fails here with a ValueError
+            ell = _ell_from_truth(hidden) if args.ell_from_truth else args.ell
+            record, oracle = run_one(
+                hidden,
+                family="file",
+                delta=max_degree(hidden),
+                tau=args.tau if ell is None else None,
+                ell=ell,
+                seed=0,
+                strict_budget=args.strict_budget,
+                log_queries=log is not None,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if log is not None:
+            log.truncate(0)
+            oracle.write_query_log(log)
+        if out is not None and record["_result"] is not None:
+            out.truncate(0)
+            out.write(write_edge_list(record["_result"].graph))
     for col in CSV_COLUMNS:
         print(f"{col}={record[col]}")
     print(f"tau_violation_suspected={record['_extras']['tau_violation_suspected']}")

@@ -3,15 +3,19 @@
 The oracle answers d(u, v) exactly and charges one distinct-query credit per
 unordered pair, no matter how often the pair is re-asked. Every charged query
 is attributed to a phase so budgets can be checked per algorithm stage.
-Answered pairs are cached in one small dict per vertex, row u mapping each
-partner v > u to d(u, v): the keys are vertex ints the caller already holds,
-so a pair costs one dict entry, about 42 bytes retained per charged pair on
-a 2-tree at n=1024.
+The ledger records which pairs were charged, not their distances: one
+array("i") of partner ids per vertex, each pair stored at both ends, so a
+pair costs 8 bytes plus the arrays' slack, about 11 bytes retained per
+charged pair on a 2-tree at n=1024. A re-asked pair is answered again by the
+hidden side, uncharged. A single query looks its pair up in a memo of one
+vertex's partners, reused while the queries share that vertex and otherwise
+rebuilt from the shorter of the two rows, so it costs O(shorter row); a
+batch from s costs O(|partners[s]|) on top of its ball.
 
 The hidden side answers in two ways. A batch (one source, many targets)
 grows a BFS ball from its source in a throwaway dense list, level by level,
-only until it holds every target whose pair is not cached yet, and charges
-those answers in one pass. A single query reads exact 2-hop distance labels
+only until it holds every target, answers the batch from it and charges its
+new pairs in one pass. A single query reads exact 2-hop distance labels
 of the hidden graph: pruned landmark labels (Akiba, Iwata and Yoshida,
 SIGMOD 2013), built at the first single query by one pruned BFS per vertex.
 Vertices are ranked by a centroid decomposition of a BFS tree of the hidden
@@ -20,8 +24,9 @@ near log2 n entries per vertex on bounded-treelength graphs: at n=8192, 8.1
 on a random tree, 11.2 on a caterpillar and 14.2 to 14.6 on 2-trees. Graphs
 of large treelength get much larger labels, so the build stops once they
 hold more than _LABEL_BUDGET * n * ceil(log2 n) entries; single queries
-then read complete BFS rows instead, one per source, kept least recently
-used first within _ROW_CACHE_BYTES.
+then read complete BFS rows instead, kept least recently used first within
+_ROW_CACHE_BYTES: a new pair reads u's row, a re-asked pair the kept row of
+either endpoint if there is one.
 
 One oracle serves one reconstruction run; concurrent runs each get their own.
 """
@@ -106,13 +111,15 @@ class OracleStats:
 class DistanceOracle:
     """Simulates shortest-path distance queries against a hidden graph.
 
-    Answers are memoized per unordered pair; the hidden side never builds an
-    all-pairs table.
+    The ledger keeps each charged pair as a partner id at both ends, not its
+    distance, and the hidden side never builds an all-pairs table.
 
     batch_distances_from(s, ...) grows a BFS ball around s in a dense list
-    that is dropped after the batch, only as far as its farthest uncached
-    target, and charges the batch in one pass; its ledger, log and answers
-    equal those of query(s, t) per target. query(u, v) answers from exact
+    that is dropped after the batch, only as far as its farthest target,
+    and charges the batch's new pairs in one pass, at O(|partners[s]|) for
+    the ledger; its ledger, log and answers equal those of query(s, t) per
+    target. query(u, v) costs O(shorter row) for the ledger (see the module
+    docstring) and answers from exact
     distance labels of the hidden graph (see the module docstring), built
     at the first single query, so runs whose single queries never come pay
     nothing for them. If the labels pass their budget, query(u, v) reads a
@@ -133,9 +140,13 @@ class DistanceOracle:
         self.hidden = hidden
         self.n = hidden.n
         self.ledger = QueryLedger(log=[] if log_queries else None)
-        # answered pairs: row u maps each v > u to d(u, v); built at the
-        # first pair asked
-        self._pairs: list[dict[int, int]] | None = None
+        # charged pairs: row u holds every partner of u, in charging order;
+        # built at the first pair asked
+        self._partners: list[array] | None = None
+        # (m, m's partners) for a vertex m of the last single query, each
+        # mapped to its distance if seen while m is memoized, else to -1;
+        # dropped by any batch that charges a pair
+        self._memo: tuple[int, dict[int, int]] = (-1, {})
         self._labels: list[dict[int, int]] | None = None  # hub -> distance per vertex
         self._rows: OrderedDict[int, array] = OrderedDict()  # fallback rows
         self._ball: tuple[int, list[int]] | None = None  # (s, ball) during a batch
@@ -154,15 +165,28 @@ class DistanceOracle:
         ledger = self.ledger
         ledger.raw_calls += 1
         if u == v:
-            return 0  # not a pair: nothing to charge, cache or log
-        pairs = self._pairs
-        if pairs is None:
-            pairs = self._pairs = [{} for _ in range(n)]
-        row, w = (pairs[u], v) if u < v else (pairs[v], u)
-        d = row.get(w)
-        if d is not None:
+            return 0  # not a pair: nothing to charge, record or log
+        m, known = self._memo
+        if m == u:
+            w = v
+        elif m == v:
+            w = u
+        else:
+            partners = self._partners
+            if partners is None:
+                partners = self._partners = [array("i") for _ in range(n)]
+            m, w = (u, v) if len(partners[u]) <= len(partners[v]) else (v, u)
+            known = dict.fromkeys(partners[m], -1)
+            self._memo = m, known
+        d = known.get(w)
+        if d is not None:  # asked before: answered again, uncharged
+            if d < 0:
+                d = known[w] = self._distance(u, v, again=True)
             return d
-        d = row[w] = self._distance(u, v)
+        d = known[w] = self._distance(u, v)
+        partners = self._partners
+        partners[u].append(v)
+        partners[v].append(u)
         ledger.distinct_queries += 1
         ledger.per_phase[phase] += 1
         if ledger.log is not None:
@@ -176,8 +200,8 @@ class DistanceOracle:
 
         Accounting is identical to calling query(s, t) for each distinct
         target in order; the hidden side grows one ball from s, only as far
-        as the farthest target whose pair is not cached yet, and the
-        uncached answers are read from it and charged in one pass.
+        as the farthest target, the batch is answered from it, and the pairs
+        not charged before are charged in one pass.
         """
         if not isinstance(phase, QueryPhase):
             raise _phase_error(phase)
@@ -186,51 +210,48 @@ class DistanceOracle:
             (s,) = _ints(s)
         if not 0 <= s < n:
             raise ValueError(f"source {s} out of range for n={n}")
-        pairs = self._pairs
-        if pairs is None:
-            pairs = self._pairs = [{} for _ in range(n)]
-        row = pairs[s]
-        out: dict[int, int] = {}
-        want: list[int] = []
-        for t in targets:
-            if type(t) is not int:
-                _, t = _ints(s, t)
-            if not 0 <= t < n:
-                raise ValueError(f"vertex pair ({s},{t}) out of range for n={n}")
-            if t in out:
-                continue
-            if t == s:
-                out[t] = 0
-                continue
-            d = row.get(t) if s < t else pairs[t].get(s)
-            if d is None:
-                want.append(t)
-            out[t] = d  # a placeholder keeps t's place until it is charged
-        if want:
-            ball = self._grow(s, want)
+        targets = list(targets)
+        if targets and not (
+            set(map(type, targets)) == {int} and min(targets) >= 0 and max(targets) < n
+        ):
+            targets = _checked_targets(s, targets, n)
+        ball = None
+        if targets.count(s) < len(targets):
+            ball = self._grow(s, targets[:])
             self.stats.balls_transient += 1
         if type(self).query is not _OWN_QUERY:
             # an overriding query (a subclass's or a wrapper) sees each
             # target, and _distance answers it from the ball
-            if want:
+            if ball is not None:
                 self._ball = s, ball
             try:
-                return {t: self.query(s, t, phase) for t in out}
+                return {t: self.query(s, t, phase) for t in dict.fromkeys(targets)}
             finally:
                 self._ball = None
+        if ball is None:  # no target but s itself
+            out = dict.fromkeys(targets, 0)
+            self.ledger.raw_calls += len(out)
+            return out
+        out = {t: ball[t] for t in targets}  # first-seen order
         ledger = self.ledger
         ledger.raw_calls += len(out)
-        log, value = ledger.log, phase.value
-        for t in want:
-            d = out[t] = ball[t]
-            if s < t:
-                row[t] = d
-            else:
-                pairs[t][s] = d
-            if log is not None:
-                log.append((s, t, d, value))
-        ledger.distinct_queries += len(want)
-        ledger.per_phase[phase] += len(want)
+        partners = self._partners
+        if partners is None:
+            partners = self._partners = [array("i") for _ in range(n)]
+        row = partners[s]
+        charged = set(row)
+        charged.add(s)
+        want = [t for t in out if t not in charged]
+        if want:
+            self._memo = -1, {}
+            row.extend(want)
+            for t in want:
+                partners[t].append(s)
+            if ledger.log is not None:
+                value = phase.value
+                ledger.log.extend([(s, t, out[t], value) for t in want])
+            ledger.distinct_queries += len(want)
+            ledger.per_phase[phase] += len(want)
         return out
 
     def write_query_log(self, out: io.TextIOBase) -> None:
@@ -242,7 +263,8 @@ class DistanceOracle:
 
     # -- hidden-side distance computation ---------------------------------
 
-    def _distance(self, u: int, v: int) -> int:
+    def _distance(self, u: int, v: int, again: bool = False) -> int:
+        """d(u, v); a pair asked again may read either endpoint's kept row."""
         ball = self._ball
         if ball is not None and ball[0] == u and ball[1][v] >= 0:
             return ball[1][v]
@@ -252,16 +274,18 @@ class DistanceOracle:
         if labels:
             lu, lv = labels[u], labels[v]
             return min([lu[h] + lv[h] for h in lu.keys() & lv.keys()])
+        rows = self._rows
+        if again and u not in rows and v in rows:
+            return rows[v][u]
         return self._row(u)[v]
 
-    def _grow(self, s: int, want: list[int]) -> list[int]:
+    def _grow(self, s: int, pending: list[int]) -> list[int]:
         """Distances from s in a dense list, -1 beyond the first BFS level
-        that holds every vertex of want."""
+        that holds every vertex of pending, which it empties."""
         row = [-1] * self.n
         row[s] = 0
         adj = self.hidden.adj
         frontier, d, held = [s], 0, 1
-        pending = want[:]
         while frontier:
             while pending and row[pending[-1]] >= 0:
                 pending.pop()
@@ -387,6 +411,18 @@ def _separator_order(g: Graph) -> list[int]:
         order.append(c)
         tops.extend(q for q in (*children[c], parent[c]) if q >= 0 and not removed[q])
     return order
+
+
+def _checked_targets(s: int, targets: list, n: int) -> list[int]:
+    """targets as ints in range, or the error of the first one that is not."""
+    out = []
+    for t in targets:
+        if type(t) is not int:
+            _, t = _ints(s, t)
+        if not 0 <= t < n:
+            raise ValueError(f"vertex pair ({s},{t}) out of range for n={n}")
+        out.append(t)
+    return out
 
 
 def _phase_error(phase: object) -> TypeError:

@@ -186,6 +186,34 @@ def test_output_in_a_missing_directory_is_an_error(tmp_path, capsys, monkeypatch
         assert runs == []
 
 
+@pytest.mark.parametrize("flag", ["--out", "--log-queries"])
+def test_reconstruct_fails_on_its_outputs_before_the_run(tmp_path, capsys, monkeypatch, flag):
+    def run_one(*args, **kwargs):
+        raise AssertionError("the run started before its outputs were opened")
+
+    monkeypatch.setattr(cli, "run_one", run_one)
+    src = tmp_path / "c6.edges"
+    write_graph(src, cycle(6))
+    assert main(["reconstruct", str(src), flag, str(tmp_path / "no-such-dir" / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no-such-dir" in err
+
+
+def test_reconstruct_without_a_graph_keeps_an_existing_out(tmp_path, monkeypatch):
+    def breach(self, *args, **kwargs):
+        raise LayeringInvariantError("injected layering breach")
+
+    monkeypatch.setattr(LayeringTree, "append_layer", breach)
+    src, out, log = tmp_path / "p10.edges", tmp_path / "keep.edges", tmp_path / "q.csv"
+    write_graph(src, path_graph(10))
+    out.write_text("precious\n")
+    log.write_text("stale\n")
+    assert main(["reconstruct", str(src), "--out", str(out), "--log-queries", str(log)]) == 1
+    assert out.read_text() == "precious\n"
+    # the queries charged before the breach replace the old log
+    assert log.read_text().splitlines()[0] == "0,1,1,root-bfs"
+
+
 class TestVerify:
     def test_identical_files_exit_zero(self, tmp_path):
         a = tmp_path / "a.edges"

@@ -81,7 +81,7 @@ class TestQuery:
     @pytest.mark.parametrize("u, v", [(0.25, 1), (1, 2.0), ("1", 2), (None, 0)])
     def test_non_integer_vertex_charges_nothing(self, u, v):
         # 2.0 == 2 with the same hash, so (1, 2.0) would find pair (1, 2)
-        # among the answered pairs: a bad vertex must fail before the cache
+        # among the answered pairs: a bad vertex must fail before the ledger
         o = DistanceOracle(path(4), log_queries=True)
         with pytest.raises(TypeError, match=r"vertices \(.*\) must be integers"):
             o.query(u, v, ANC)
@@ -480,8 +480,8 @@ def check_batch_matches_queries(graph, calls, budgets):
     table = brute_all_pairs(graph)
     batched = DistanceOracle(graph, log_queries=True)
     single = DistanceOracle(graph, log_queries=True)
-    # both oracles share one pair cache layout, so the distinct count is
-    # also checked against a plain set of the pairs asked
+    # both oracles keep one ledger layout, so the distinct count is also
+    # checked against a plain set of the pairs asked
     model = set()
     with mock.patch.multiple(oracle_module, **budgets):
         for kind, a, b in calls:
@@ -501,6 +501,31 @@ def check_batch_matches_queries(graph, calls, budgets):
                     assert batched.query(u, v, ANC) == single.query(u, v, ANC) == table[u][v]
                     assert batched.ledger.distinct_queries == len(model)
         assert ledger_state(batched) == ledger_state(single)
+
+
+class TestLedgerMemo:
+    """query keeps the partners of one vertex as a memo; a batch that
+    charges pairs at that vertex must not leave it stale."""
+
+    @pytest.mark.parametrize("label_budget", [oracle_module._LABEL_BUDGET, 0])
+    def test_re_asked_pairs_charge_nothing(self, monkeypatch, label_budget):
+        monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", label_budget)
+        g = Graph(9, [(v, (v + 1) % 9) for v in range(9)] + [(0, 4)])
+        table = brute_all_pairs(g)
+        o = DistanceOracle(g, log_queries=True)
+        assert o.query(2, 6, ANC) == table[2][6]
+        assert o._memo[0] == 2
+        assert o.batch_distances_from(2, [0, 6, 7, 2], ANC) == {t: table[2][t] for t in (0, 6, 7, 2)}
+        assert o.batch_distances_from(5, [8], ANC) == {8: table[5][8]}
+        charged = o.ledger.snapshot()
+        assert charged.distinct_queries == 4
+        for u, v in [(2, 6), (2, 0), (2, 7), (5, 8)]:
+            for a, b in ((u, v), (v, u)):
+                assert o.query(a, b, ANC) == table[a][b]
+                assert o.batch_distances_from(a, [b, a], ANC) == {b: table[a][b], a: 0}
+                assert o.query(a, b, ANC) == table[a][b]
+        assert o.ledger.distinct_queries == 4 and o.ledger.log == charged.log
+        assert o.ledger.per_phase == charged.per_phase
 
 
 class TestBatchMatchesQueries:
@@ -548,8 +573,9 @@ class TestSimulatorWork:
 
     def test_answered_pairs_stay_lean(self):
         # bytes the oracle still holds per charged pair once the run is
-        # over: a fresh int key per pair in one large dict held about 79,
-        # a small dict per vertex keyed by the partner holds about 42
+        # over: a small dict per vertex mapping partners to distances held
+        # about 42; a partner id at each end of the pair, in one array per
+        # vertex, holds about 11
         hidden, _ = generate(FamilySpec(family="ktree", n=1024, max_degree=8, k=2, seed=0))
         tracemalloc.start()
         try:
@@ -560,7 +586,7 @@ class TestSimulatorWork:
             kept = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert kept <= 60 * o.ledger.distinct_queries
+        assert kept <= 16 * o.ledger.distinct_queries
 
 
 class TestBudget:
