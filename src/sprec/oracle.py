@@ -55,6 +55,11 @@ _LABEL_BUDGET = 4
 
 
 class QueryPhase(Enum):
+    # members compare by identity, so the identity hash agrees with ==; it
+    # is a C slot, where Enum's own hashes the name in Python on every
+    # per-phase count a charged query updates
+    __hash__ = object.__hash__
+
     ROOT_BFS = "root-bfs"
     BOOTSTRAP = "bootstrap"
     ANCESTOR_SEARCH = "ancestor-search"
