@@ -123,13 +123,13 @@ class DistanceOracle:
     that is dropped after the batch, only as far as its farthest target,
     and charges the batch's new pairs in one pass, at O(|partners[s]|) for
     the ledger; its ledger, log and answers equal those of query(s, t) per
-    target. query(u, v) costs O(shorter row) for the ledger (see the module
-    docstring) and answers from exact
-    distance labels of the hidden graph (see the module docstring), built
-    at the first single query, so runs whose single queries never come pay
-    nothing for them. If the labels pass their budget, query(u, v) reads a
-    complete BFS row from u instead; rows are kept least recently used
-    first within _ROW_CACHE_BYTES, and v's row is never read.
+    target. query(u, v) costs O(shorter row) for the ledger and answers
+    from exact distance labels of the hidden graph (see the module
+    docstring), built at the first single query, so runs whose single
+    queries never come pay nothing for them. If the labels pass their
+    budget, query(u, v) reads a complete BFS row from u instead; rows are
+    kept least recently used first within _ROW_CACHE_BYTES, and v's row is
+    read only for a re-asked pair whose u has none kept.
 
     Where query is overridden (a subclass, a wrapper), a batch calls it for
     every target and the batch's ball answers those calls, so a batch never
