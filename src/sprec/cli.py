@@ -20,6 +20,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -75,6 +76,12 @@ def _read_graph_file(path: str) -> Graph:
 def _write_graph_file(path: str, g: Graph) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(write_edge_list(g))
+
+
+def _remove_all(paths: set[str]) -> None:
+    for path in paths:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
 
 
 def _ell_from_truth(hidden: Graph) -> int:
@@ -186,8 +193,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     hidden = _read_graph_file(args.graph)
     # both outputs are opened before the run, so a bad path fails first, but
-    # emptied only when written, so a run with no graph leaves --out be
+    # emptied only when written, so a run with no graph leaves --out be; an
+    # output this call created and did not write is removed again
+    unwritten = {p for p in (args.log_queries, args.out) if p and not os.path.exists(p)}
     with contextlib.ExitStack() as stack:
+        stack.callback(_remove_all, unwritten)
         log, out = (
             stack.enter_context(open(path, "a", encoding="utf-8")) if path else None
             for path in (args.log_queries, args.out)
@@ -211,9 +221,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         if log is not None:
             log.truncate(0)
             oracle.write_query_log(log)
+            unwritten.discard(args.log_queries)
         if out is not None and record["_result"] is not None:
             out.truncate(0)
             out.write(write_edge_list(record["_result"].graph))
+            unwritten.discard(args.out)
     for col in CSV_COLUMNS:
         print(f"{col}={record[col]}")
     print(f"tau_violation_suspected={record['_extras']['tau_violation_suspected']}")

@@ -7,10 +7,9 @@ The ledger records which pairs were charged, not their distances: one
 array("i") of partner ids per vertex, each pair stored at both ends, so a
 pair costs 8 bytes plus the arrays' slack, about 11 bytes retained per
 charged pair on a 2-tree at n=1024. A re-asked pair is answered again by the
-hidden side, uncharged. A single query looks its pair up in a memo of one
-vertex's partners, reused while the queries share that vertex and otherwise
-rebuilt from the shorter of the two rows, so it costs O(shorter row); a
-batch from s costs O(|partners[s]|) on top of its ball.
+hidden side, uncharged. A single query scans the shorter of its two rows
+for the other endpoint, so it costs O(shorter row); a batch from s costs
+O(|partners[s]|) on top of its ball.
 
 The hidden side answers in two ways. A batch (one source, many targets)
 grows a BFS ball from its source in a throwaway dense list, level by level,
@@ -148,10 +147,6 @@ class DistanceOracle:
         # charged pairs: row u holds every partner of u, in charging order;
         # built at the first pair asked
         self._partners: list[array] | None = None
-        # (m, m's partners) for a vertex m of the last single query, each
-        # mapped to its distance if seen while m is memoized, else to -1;
-        # dropped by any batch that charges a pair
-        self._memo: tuple[int, dict[int, int]] = (-1, {})
         self._labels: list[dict[int, int]] | None = None  # hub -> distance per vertex
         self._rows: OrderedDict[int, array] = OrderedDict()  # fallback rows
         self._ball: tuple[int, list[int]] | None = None  # (s, ball) during a batch
@@ -171,27 +166,15 @@ class DistanceOracle:
         ledger.raw_calls += 1
         if u == v:
             return 0  # not a pair: nothing to charge, record or log
-        m, known = self._memo
-        if m == u:
-            w = v
-        elif m == v:
-            w = u
-        else:
-            partners = self._partners
-            if partners is None:
-                partners = self._partners = [array("i") for _ in range(n)]
-            m, w = (u, v) if len(partners[u]) <= len(partners[v]) else (v, u)
-            known = dict.fromkeys(partners[m], -1)
-            self._memo = m, known
-        d = known.get(w)
-        if d is not None:  # asked before: answered again, uncharged
-            if d < 0:
-                d = known[w] = self._distance(u, v, again=True)
-            return d
-        d = known[w] = self._distance(u, v)
         partners = self._partners
-        partners[u].append(v)
-        partners[v].append(u)
+        if partners is None:
+            partners = self._partners = [array("i") for _ in range(n)]
+        pu, pv = partners[u], partners[v]
+        if (v in pu) if len(pu) <= len(pv) else (u in pv):
+            return self._distance(u, v, again=True)  # answered again, uncharged
+        d = self._distance(u, v)
+        pu.append(v)
+        pv.append(u)
         ledger.distinct_queries += 1
         ledger.per_phase[phase] += 1
         if ledger.log is not None:
@@ -215,11 +198,7 @@ class DistanceOracle:
             (s,) = _ints(s)
         if not 0 <= s < n:
             raise ValueError(f"source {s} out of range for n={n}")
-        targets = list(targets)
-        if targets and not (
-            set(map(type, targets)) == {int} and min(targets) >= 0 and max(targets) < n
-        ):
-            targets = _checked_targets(s, targets, n)
+        targets = _checked_targets(s, targets, n)
         ball = None
         if targets.count(s) < len(targets):
             ball = self._grow(s, targets[:])
@@ -248,7 +227,6 @@ class DistanceOracle:
         charged.add(s)
         want = [t for t in out if t not in charged]
         if want:
-            self._memo = -1, {}
             row.extend(want)
             for t in want:
                 partners[t].append(s)
@@ -418,7 +396,7 @@ def _separator_order(g: Graph) -> list[int]:
     return order
 
 
-def _checked_targets(s: int, targets: list, n: int) -> list[int]:
+def _checked_targets(s: int, targets: Iterable, n: int) -> list[int]:
     """targets as ints in range, or the error of the first one that is not."""
     out = []
     for t in targets:

@@ -212,6 +212,10 @@ def test_reconstruct_without_a_graph_keeps_an_existing_out(tmp_path, monkeypatch
     assert out.read_text() == "precious\n"
     # the queries charged before the breach replace the old log
     assert log.read_text().splitlines()[0] == "0,1,1,root-bfs"
+    # an output the failed run created is not left behind, empty
+    fresh = tmp_path / "fresh.edges"
+    assert main(["reconstruct", str(src), "--out", str(fresh)]) == 1
+    assert not fresh.exists()
 
 
 class TestVerify:

@@ -503,9 +503,10 @@ def check_batch_matches_queries(graph, calls, budgets):
         assert ledger_state(batched) == ledger_state(single)
 
 
-class TestLedgerMemo:
-    """query keeps the partners of one vertex as a memo; a batch that
-    charges pairs at that vertex must not leave it stale."""
+class TestReAskedPairs:
+    """A pair charged by query or by batch is answered again, by either
+    call and in either order, and charges nothing, also after a batch has
+    charged pairs at an endpoint of an earlier single query."""
 
     @pytest.mark.parametrize("label_budget", [oracle_module._LABEL_BUDGET, 0])
     def test_re_asked_pairs_charge_nothing(self, monkeypatch, label_budget):
@@ -514,7 +515,6 @@ class TestLedgerMemo:
         table = brute_all_pairs(g)
         o = DistanceOracle(g, log_queries=True)
         assert o.query(2, 6, ANC) == table[2][6]
-        assert o._memo[0] == 2
         assert o.batch_distances_from(2, [0, 6, 7, 2], ANC) == {t: table[2][t] for t in (0, 6, 7, 2)}
         assert o.batch_distances_from(5, [8], ANC) == {8: table[5][8]}
         charged = o.ledger.snapshot()
