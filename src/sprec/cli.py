@@ -236,8 +236,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sizes = args.sizes
     records: list[dict] = []
     # both outputs are opened first, so a bad path fails before any run, but
-    # only emptied once every run is done, so a failed sweep leaves them be
+    # only emptied once every run is done, so a failed sweep leaves them be;
+    # an output this call created and did not write is removed again
+    unwritten = {p for p in (args.out, args.json) if p and not os.path.exists(p)}
     with contextlib.ExitStack() as stack:
+        stack.callback(_remove_all, unwritten)
         out = stack.enter_context(open(args.out, "a", encoding="utf-8"))
         mirror = stack.enter_context(open(args.json, "a", encoding="utf-8")) if args.json else None
         for n in sizes:
@@ -267,6 +270,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if f is not None:
                 f.truncate(0)
         _emit_records(records, out, mirror)
+        unwritten.clear()
 
     print(f"family={args.family} delta={args.delta} repeats={args.repeats}")
     print(f"{'n':>8} {'runs':>5} {'mean_q':>12} {'q/(n*log2(n))':>14} {'naive_pairs':>12}")

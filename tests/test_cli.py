@@ -266,6 +266,14 @@ class TestBench:
         assert len(list(csv.DictReader(out.read_text().splitlines()))) == 1
         assert [r["n"] for r in json.loads(mirror.read_text())] == [12]
 
+    def test_failed_sweep_leaves_no_new_outputs(self, tmp_path, capsys):
+        out, mirror = tmp_path / "new.csv", tmp_path / "new.json"
+        args = ["bench", "--family", "ring-of-cliques", "--clique-size", "3", "--delta", "4",
+                "--sizes", "12,13", "--out", str(out), "--json", str(mirror)]
+        assert main(args) == 1
+        assert "not a multiple" in capsys.readouterr().err
+        assert not out.exists() and not mirror.exists()
+
     def test_repeat_runs_are_identical_modulo_wall_time(self, tmp_path):
         outs = []
         for name in ("one.csv", "two.csv"):
