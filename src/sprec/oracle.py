@@ -3,20 +3,22 @@
 The oracle answers d(u, v) exactly and charges one distinct-query credit per
 unordered pair, no matter how often the pair is re-asked. Every charged query
 is attributed to a phase so budgets can be checked per algorithm stage.
-The ledger records which pairs were charged, not their distances: one
-array("i") of partner ids per vertex, each pair stored at both ends, so a
-pair costs 8 bytes plus the arrays' slack, about 11 bytes retained per
-charged pair on a 2-tree at n=1024. A re-asked pair is answered again by the
-hidden side, uncharged. A single query scans the shorter of its two rows
-for the other endpoint, so it costs O(shorter row); a batch from s costs
-O(|partners[s]|) on top of its ball.
+The ledger records which pairs were charged, not their distances: one array
+of partner ids per vertex, each pair at both ends, 16-bit ids up to n=65,536
+and 32-bit above, about 7 bytes retained per charged pair on a 2-tree at
+n=1024. A re-asked pair is answered again by the hidden side, uncharged. A
+single query scans the shorter of its two rows for the other endpoint, so
+it costs O(shorter row); a batch from s costs O(|partners[s]|) on top of its
+ball.
 
 The hidden side answers in two ways. A batch (one source, many targets)
-grows a BFS ball from its source in a throwaway dense list, level by level,
-only until it holds every target, answers the batch from it and charges its
-new pairs in one pass. A single query reads exact 2-hop distance labels
-of the hidden graph: pruned landmark labels (Akiba, Iwata and Yoshida,
-SIGMOD 2013), built at the first single query by one pruned BFS per vertex.
+grows a BFS ball from its source, level by level, only until it holds every
+target, answers the batch from it and charges its new pairs in one pass.
+All balls share one dense list, each marking d(s, x) as base + d above the
+marks of the balls before it, so no batch allocates or clears n entries. A
+single query reads exact 2-hop distance labels of the hidden graph: pruned
+landmark labels (Akiba, Iwata and Yoshida, SIGMOD 2013), built at the first
+single query by one pruned BFS per vertex.
 Vertices are ranked by a centroid decomposition of a BFS tree of the hidden
 graph from vertex 0. Labels are exact under any order; this one keeps them
 near log2 n entries per vertex on bounded-treelength graphs: at n=8192, 8.1
@@ -24,8 +26,7 @@ on a random tree, 11.2 on a caterpillar and 14.2 to 14.6 on 2-trees. Graphs
 of large treelength get much larger labels, so the build stops once they
 hold more than _LABEL_BUDGET * n * ceil(log2 n) entries; single queries
 then read complete BFS rows instead, kept least recently used first within
-_ROW_CACHE_BYTES: a new pair reads u's row, a re-asked pair the kept row of
-either endpoint if there is one.
+_ROW_CACHE_BYTES: a pair, new or re-asked, reads u's row.
 
 One oracle serves one reconstruction run; concurrent runs each get their own.
 """
@@ -90,7 +91,7 @@ class QueryLedger:
 class OracleStats:
     """Hidden-side work behind the answers.
 
-    balls_transient: throwaway BFS balls grown for batches.
+    balls_transient: BFS balls grown for batches, none kept past its batch.
     visited: vertices those balls and the fallback rows reached, each
         source included.
     label_entries: entries the label build wrote. Past the budget of
@@ -118,8 +119,8 @@ class DistanceOracle:
     The ledger keeps each charged pair as a partner id at both ends, not its
     distance, and the hidden side never builds an all-pairs table.
 
-    batch_distances_from(s, ...) grows a BFS ball around s in a dense list
-    that is dropped after the batch, only as far as its farthest target,
+    batch_distances_from(s, ...) grows a BFS ball around s in the dense list
+    all batches share, only as far as its farthest target,
     and charges the batch's new pairs in one pass, at O(|partners[s]|) for
     the ledger; its ledger, log and answers equal those of query(s, t) per
     target. query(u, v) costs O(shorter row) for the ledger and answers
@@ -127,12 +128,12 @@ class DistanceOracle:
     docstring), built at the first single query, so runs whose single
     queries never come pay nothing for them. If the labels pass their
     budget, query(u, v) reads a complete BFS row from u instead; rows are
-    kept least recently used first within _ROW_CACHE_BYTES, and v's row is
-    read only for a re-asked pair whose u has none kept.
+    kept least recently used first within _ROW_CACHE_BYTES; a pair, new or
+    re-asked, reads u's row.
 
     Where query is overridden (a subclass, a wrapper), a batch calls it for
-    every target and the batch's ball answers those calls, so a batch never
-    builds the labels or a row.
+    every target and the batch's answers, taken from its ball first, answer
+    those calls, so a batch never builds the labels or a row.
     `stats` counts the BFS and label work behind the answers.
     """
 
@@ -145,11 +146,16 @@ class DistanceOracle:
         self.n = hidden.n
         self.ledger = QueryLedger(log=[] if log_queries else None)
         # charged pairs: row u holds every partner of u, in charging order;
-        # built at the first pair asked
+        # built at the first pair asked, 16-bit ids while they fit
         self._partners: list[array] | None = None
+        self._id_code = "H" if self.n <= 1 << 16 else "i"
         self._labels: list[dict[int, int]] | None = None  # hub -> distance per vertex
         self._rows: OrderedDict[int, array] = OrderedDict()  # fallback rows
-        self._ball: tuple[int, list[int]] | None = None  # (s, ball) during a batch
+        # all batch balls, built at the first batch: d(s, x) is marked as
+        # base + d, and marks below _base are left from earlier balls
+        self._marks: list[int] | None = None
+        self._base = 0
+        self._ball: tuple[int, dict[int, int]] | None = None  # (s, answers) during a batch
         self.stats = OracleStats()
 
     # -- query surface ----------------------------------------------------
@@ -168,10 +174,10 @@ class DistanceOracle:
             return 0  # not a pair: nothing to charge, record or log
         partners = self._partners
         if partners is None:
-            partners = self._partners = [array("i") for _ in range(n)]
+            partners = self._partners = [array(self._id_code) for _ in range(n)]
         pu, pv = partners[u], partners[v]
         if (v in pu) if len(pu) <= len(pv) else (u in pv):
-            return self._distance(u, v, again=True)  # answered again, uncharged
+            return self._distance(u, v)  # answered again, uncharged
         d = self._distance(u, v)
         pu.append(v)
         pv.append(u)
@@ -199,29 +205,31 @@ class DistanceOracle:
         if not 0 <= s < n:
             raise ValueError(f"source {s} out of range for n={n}")
         targets = _checked_targets(s, targets, n)
-        ball = None
-        if targets.count(s) < len(targets):
-            ball = self._grow(s, targets[:])
+        ball = targets.count(s) < len(targets)  # a target besides s itself
+        if ball:
+            marks, base = self._marks, self._base
+            if marks is None:
+                marks = self._marks = [-1] * n
+            self._base = self._grow(s, targets[:], marks, base) + 1
+            out = {t: marks[t] - base for t in targets}  # first-seen order
             self.stats.balls_transient += 1
+        else:
+            out = dict.fromkeys(targets, 0)
         if type(self).query is not _OWN_QUERY:
             # an overriding query (a subclass's or a wrapper) sees each
-            # target, and _distance answers it from the ball
-            if ball is not None:
-                self._ball = s, ball
+            # target, and _distance answers it from the batch's answers
+            self._ball = s, out
             try:
-                return {t: self.query(s, t, phase) for t in dict.fromkeys(targets)}
+                return {t: self.query(s, t, phase) for t in out}
             finally:
                 self._ball = None
-        if ball is None:  # no target but s itself
-            out = dict.fromkeys(targets, 0)
-            self.ledger.raw_calls += len(out)
-            return out
-        out = {t: ball[t] for t in targets}  # first-seen order
         ledger = self.ledger
         ledger.raw_calls += len(out)
+        if not ball:
+            return out
         partners = self._partners
         if partners is None:
-            partners = self._partners = [array("i") for _ in range(n)]
+            partners = self._partners = [array(self._id_code) for _ in range(n)]
         row = partners[s]
         charged = set(row)
         charged.add(s)
@@ -246,10 +254,10 @@ class DistanceOracle:
 
     # -- hidden-side distance computation ---------------------------------
 
-    def _distance(self, u: int, v: int, again: bool = False) -> int:
-        """d(u, v); a pair asked again may read either endpoint's kept row."""
+    def _distance(self, u: int, v: int) -> int:
+        """d(u, v), from the running batch's answers if it has one."""
         ball = self._ball
-        if ball is not None and ball[0] == u and ball[1][v] >= 0:
+        if ball is not None and ball[0] == u and v in ball[1]:
             return ball[1][v]
         labels = self._labels
         if labels is None:
@@ -257,34 +265,31 @@ class DistanceOracle:
         if labels:
             lu, lv = labels[u], labels[v]
             return min([lu[h] + lv[h] for h in lu.keys() & lv.keys()])
-        rows = self._rows
-        if again and u not in rows and v in rows:
-            return rows[v][u]
         return self._row(u)[v]
 
-    def _grow(self, s: int, pending: list[int]) -> list[int]:
-        """Distances from s in a dense list, -1 beyond the first BFS level
-        that holds every vertex of pending, which it empties."""
-        row = [-1] * self.n
-        row[s] = 0
+    def _grow(self, s: int, pending: list[int], row: list[int], base: int) -> int:
+        """Marks d(s, x) as base + d in row, entries below base counting as
+        unreached, up to the first BFS level that holds every vertex of
+        pending, which it empties; returns the largest mark."""
+        row[s] = level = base
         adj = self.hidden.adj
-        frontier, d, held = [s], 0, 1
+        frontier, held = [s], 1
         while frontier:
-            while pending and row[pending[-1]] >= 0:
+            while pending and row[pending[-1]] >= base:
                 pending.pop()
             if not pending:
                 break
-            d += 1
+            level += 1  # one int per level, shared by its vertices
             nxt = []
             for x in frontier:
                 for w in adj[x]:
-                    if row[w] < 0:
-                        row[w] = d
+                    if row[w] < base:
+                        row[w] = level
                         nxt.append(w)
             held += len(nxt)
             frontier = nxt
         self.stats.visited += held
-        return row
+        return level
 
     def _row(self, s: int) -> array:
         """s's complete BFS row, the most recently used from now on; least
@@ -294,7 +299,9 @@ class DistanceOracle:
         if row is not None:
             rows.move_to_end(s)
             return row
-        row = rows[s] = array("i", self._grow(s, list(range(self.n))))
+        fresh = [-1] * self.n
+        self._grow(s, list(range(self.n)), fresh, 0)
+        row = rows[s] = array("i", fresh)
         stats.fallback_rows += 1
         while len(rows) > max(1, _ROW_CACHE_BYTES // (row.itemsize * self.n)):
             rows.popitem(last=False)

@@ -416,6 +416,7 @@ def reconstruct(
         _extend_layer(builder, layering, search, i, ell, oracle, delta, strict)
         for i in range(ell + 2, layering.num_layers)
     ]
+    del search  # the pivot and part trees go before the output graph is built
 
     return ReconstructionResult(
         graph=builder.to_graph(),

@@ -208,14 +208,16 @@ class TestTruncatedBalls:
         o = DistanceOracle(path(40))
         o.query(10, 12, ANC)  # labels over budget: a complete row from 10
         assert o._labels == [] and o.stats.fallback_rows == 1
-        assert o.query(12, 10, ANC) == 2  # the pair cache, in either order
         assert o.query(10, 11, ANC) == 1  # 10's row holds 11
         assert o.stats.fallback_rows == 1 and o.stats.visited == 40
         # reversed: 10's row holds 9, but 9 is first, so 9's row is built
         assert o.query(9, 10, ANC) == 1
         assert o.stats.fallback_rows == 2 and o.stats.visited == 80
+        # a re-asked pair reads its first endpoint's row, as a new pair does
+        assert o.query(12, 10, ANC) == 2 and o.ledger.distinct_queries == 3
+        assert o.stats.fallback_rows == 3 and o.stats.visited == 120
         assert o.query(30, 10, ANC) == 20
-        assert o.stats.fallback_rows == 3 and sorted(o._rows) == [9, 10, 30]
+        assert o.stats.fallback_rows == 4 and sorted(o._rows) == [9, 10, 12, 30]
 
     def test_forced_eviction(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", 0)
@@ -267,6 +269,86 @@ class TestTransientBalls:
         assert o._ball is None and o._labels is None
         assert o.query(5, 20, ANC) == 15  # a single query builds the labels
         assert o.stats.label_entries > 0 and o._rows == {}
+
+
+class TestSharedBalls:
+    """All batches grow their balls in one list, each above the marks of the
+    balls before it; fallback rows and overriding queries built between or
+    during batches must leave every answer exact."""
+
+    @pytest.mark.parametrize(
+        "budgets", [{}, {"_LABEL_BUDGET": 0, "_ROW_CACHE_BYTES": 0}],
+        ids=["default", "fallback-rows"])
+    def test_random_batches_between_queries(self, monkeypatch, budgets):
+        for name, value in budgets.items():
+            monkeypatch.setattr(oracle_module, name, value)
+        rng = random.Random(5)
+        g = random_graph(rng, 300, 150)
+        table = brute_all_pairs(g)
+        o = DistanceOracle(g)
+        model = set()
+        for i in range(200):
+            s = rng.randrange(g.n)
+            # every other ball stays near its source, below the marks of
+            # wider balls before it
+            near = g.adj[s] if i % 2 else range(g.n)
+            targets = [*rng.choices(near, k=rng.randint(1, 8)), s]
+            assert o.batch_distances_from(s, targets, ANC) == {t: table[s][t] for t in targets}
+            u, v = rng.randrange(g.n), rng.randrange(g.n)
+            assert o.query(u, v, ANC) == table[u][v]
+            model |= asked(s, targets) | asked(u, [v])
+            assert o.ledger.distinct_queries == len(model)
+        assert o.stats.balls_transient == 200
+        if budgets:
+            assert o.stats.fallback_rows > 1 and o.stats.evicted == o.stats.fallback_rows - 1
+
+    def test_wrapped_query_sees_every_target(self, monkeypatch):
+        # a wrapper on the class, as perfbench's tracer installs, that asks a
+        # single query of its own per target: past the label budget, each
+        # one builds a fallback row in the middle of the batch
+        monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", 0)
+        monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", 0)
+        rng = random.Random(7)
+        g = random_graph(rng, 200, 100)
+        table = brute_all_pairs(g)
+        original = DistanceOracle.query
+        seen = []
+
+        def query(self, u, v, phase):
+            d = original(self, u, v, phase)
+            seen.append((u, v, d))
+            if u != v:
+                original(self, v, (v + 1) % self.n, phase)
+            return d
+
+        monkeypatch.setattr(DistanceOracle, "query", query)
+        o = DistanceOracle(g)
+        for _ in range(50):
+            s = rng.randrange(g.n)
+            targets = rng.choices(range(g.n), k=8)
+            seen.clear()
+            assert o.batch_distances_from(s, targets, ANC) == {t: table[s][t] for t in targets}
+            assert seen == [(s, t, table[s][t]) for t in dict.fromkeys(targets)]
+        assert o.stats.balls_transient == 50 and o.stats.fallback_rows > 50
+
+
+class TestPartnerIdWidth:
+    """Partner ids take 16 bits up to n = 65,536 and 32 bits above; the
+    largest id at each size must be charged, found and answered again."""
+
+    @pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
+    def test_largest_id_on_a_long_path(self, monkeypatch, n):
+        monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", 0)
+        last = n - 1
+        o = DistanceOracle(path(n))
+        assert o.batch_distances_from(last, [0, 1], ANC) == {0: last, 1: last - 1}
+        assert o.query(0, last, ANC) == last
+        assert o.ledger.distinct_queries == 2
+        for u, v in [(last, 0), (last, 1)]:
+            for a, b in ((u, v), (v, u)):
+                assert o.query(a, b, ANC) == abs(a - b)
+        assert o.ledger.distinct_queries == 2
+        assert list(o._partners[0]) == [last] and list(o._partners[last]) == [0, 1]
 
 
 class TestDistanceLabels:
@@ -575,7 +657,7 @@ class TestSimulatorWork:
         # bytes the oracle still holds per charged pair once the run is
         # over: a small dict per vertex mapping partners to distances held
         # about 42; a partner id at each end of the pair, in one array per
-        # vertex, holds about 11
+        # vertex, about 11 as 32-bit ids and about 7 as 16-bit ids
         hidden, _ = generate(FamilySpec(family="ktree", n=1024, max_degree=8, k=2, seed=0))
         tracemalloc.start()
         try:
@@ -586,7 +668,7 @@ class TestSimulatorWork:
             kept = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert kept <= 16 * o.ledger.distinct_queries
+        assert kept <= 8 * o.ledger.distinct_queries
 
 
 class TestBudget:
