@@ -73,15 +73,30 @@ def _read_graph_file(path: str) -> Graph:
         return read_edge_list(fh.read())
 
 
-def _write_graph_file(path: str, g: Graph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_edge_list(g))
-
-
-def _remove_all(paths: set[str]) -> None:
-    for path in paths:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(path)
+@contextlib.contextmanager
+def _staged_outputs(*paths: str | None):
+    """Stage each given output path, links resolved, in PATH.<pid>.tmp,
+    made on entry so a bad path fails before any work. The block pops the
+    files it writes from the yielded dict; if it ends without an exception,
+    each of them replaces its path. Any other staged file is removed, so a
+    failed run leaves an existing output as it was and creates none."""
+    staged: dict[str, tuple[str, io.TextIOWrapper]] = {}  # path -> (stage, file)
+    try:
+        for path in filter(None, paths):
+            tmp = f"{os.path.realpath(path)}.{os.getpid()}.tmp"
+            staged[path] = tmp, open(tmp, "x", encoding="utf-8")
+        unclaimed = {path: fh for path, (_, fh) in staged.items()}
+        yield unclaimed
+        for path in staged.keys() - unclaimed.keys():
+            tmp, fh = staged[path]
+            fh.close()
+            os.replace(tmp, os.path.realpath(path))
+    finally:
+        for tmp, fh in staged.values():
+            with contextlib.suppress(OSError):  # what it holds is thrown away
+                fh.close()
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 def _ell_from_truth(hidden: Graph) -> int:
@@ -179,8 +194,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         clique_size=args.clique_size,
         seed=args.seed,
     )
-    graph, meta = generate(spec)
-    _write_graph_file(args.out, graph)
+    with _staged_outputs(args.out) as files:
+        graph, meta = generate(spec)
+        files.pop(args.out).write(write_edge_list(graph))
     tl = meta["tl_bound"]
     print(
         f"generated {args.family} n={graph.n} m={graph.m} "
@@ -192,16 +208,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     hidden = _read_graph_file(args.graph)
-    # both outputs are opened before the run, so a bad path fails first, but
-    # emptied only when written, so a run with no graph leaves --out be; an
-    # output this call created and did not write is removed again
-    unwritten = {p for p in (args.log_queries, args.out) if p and not os.path.exists(p)}
-    with contextlib.ExitStack() as stack:
-        stack.callback(_remove_all, unwritten)
-        log, out = (
-            stack.enter_context(open(path, "a", encoding="utf-8")) if path else None
-            for path in (args.log_queries, args.out)
-        )
+    with _staged_outputs(args.log_queries, args.out) as files:
         try:
             # a disconnected or empty graph fails here with a ValueError
             ell = _ell_from_truth(hidden) if args.ell_from_truth else args.ell
@@ -213,19 +220,16 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                 ell=ell,
                 seed=0,
                 strict_budget=args.strict_budget,
-                log_queries=log is not None,
+                log_queries=bool(args.log_queries),
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        if log is not None:
-            log.truncate(0)
-            oracle.write_query_log(log)
-            unwritten.discard(args.log_queries)
-        if out is not None and record["_result"] is not None:
-            out.truncate(0)
-            out.write(write_edge_list(record["_result"].graph))
-            unwritten.discard(args.out)
+        if args.log_queries:
+            oracle.write_query_log(files.pop(args.log_queries))
+        # a run that returned no graph leaves --out as it was
+        if args.out and record["_result"] is not None:
+            files.pop(args.out).write(write_edge_list(record["_result"].graph))
     for col in CSV_COLUMNS:
         print(f"{col}={record[col]}")
     print(f"tau_violation_suspected={record['_extras']['tau_violation_suspected']}")
@@ -235,14 +239,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = args.sizes
     records: list[dict] = []
-    # both outputs are opened first, so a bad path fails before any run, but
-    # only emptied once every run is done, so a failed sweep leaves them be;
-    # an output this call created and did not write is removed again
-    unwritten = {p for p in (args.out, args.json) if p and not os.path.exists(p)}
-    with contextlib.ExitStack() as stack:
-        stack.callback(_remove_all, unwritten)
-        out = stack.enter_context(open(args.out, "a", encoding="utf-8"))
-        mirror = stack.enter_context(open(args.json, "a", encoding="utf-8")) if args.json else None
+    with _staged_outputs(args.out, args.json) as files:
         for n in sizes:
             for rep in range(args.repeats):
                 seed = args.seed + rep
@@ -266,11 +263,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     strict_budget=args.strict_budget,
                 )
                 records.append(record)
-        for f in (out, mirror):
-            if f is not None:
-                f.truncate(0)
-        _emit_records(records, out, mirror)
-        unwritten.clear()
+        _emit_records(records, files.pop(args.out), files.pop(args.json, None))
 
     print(f"family={args.family} delta={args.delta} repeats={args.repeats}")
     print(f"{'n':>8} {'runs':>5} {'mean_q':>12} {'q/(n*log2(n))':>14} {'naive_pairs':>12}")

@@ -8,6 +8,7 @@ algorithms that discover edges incrementally.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Iterator
 
@@ -60,16 +61,8 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         a = self.adj[u]
-        if len(a) > 8:
-            lo, hi = 0, len(a)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if a[mid] < v:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return lo < len(a) and a[lo] == v
-        return v in a
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -52,7 +52,6 @@ class Layering:
 
 @dataclass(frozen=True)
 class Part:
-    part_id: int
     layer: int
     vertices: tuple[int, ...]
 
@@ -166,7 +165,7 @@ class LayeringTree:
         # to min-vertex order, matching the global id assignment rule.
         for vs in groups.values():
             pid = len(self.parts)
-            self.parts.append(Part(pid, k, tuple(vs)))
+            self.parts.append(Part(k, tuple(vs)))
             self.children.append([])
             if k == 0:
                 self.parent.append(-1)

@@ -268,9 +268,10 @@ class DistanceOracle:
         return self._row(u)[v]
 
     def _grow(self, s: int, pending: list[int], row: list[int], base: int) -> int:
-        """Marks d(s, x) as base + d in row, entries below base counting as
-        unreached, up to the first BFS level that holds every vertex of
-        pending, which it empties; returns the largest mark."""
+        """Grows a batch's ball: marks d(s, x) as base + d in row, entries
+        below base counting as unreached, up to the first BFS level that
+        holds every vertex of pending, which it empties; returns the largest
+        mark."""
         row[s] = level = base
         adj = self.hidden.adj
         frontier, held = [s], 1
@@ -299,10 +300,9 @@ class DistanceOracle:
         if row is not None:
             rows.move_to_end(s)
             return row
-        fresh = [-1] * self.n
-        self._grow(s, list(range(self.n)), fresh, 0)
-        row = rows[s] = array("i", fresh)
+        row = rows[s] = array("i", bfs_distances(self.hidden, s))
         stats.fallback_rows += 1
+        stats.visited += self.n  # the hidden graph is connected
         while len(rows) > max(1, _ROW_CACHE_BYTES // (row.itemsize * self.n)):
             rows.popitem(last=False)
             stats.evicted += 1

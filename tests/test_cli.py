@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +217,76 @@ def test_reconstruct_without_a_graph_keeps_an_existing_out(tmp_path, monkeypatch
     fresh = tmp_path / "fresh.edges"
     assert main(["reconstruct", str(src), "--out", str(fresh)]) == 1
     assert not fresh.exists()
+
+
+@pytest.mark.parametrize(
+    "args, outputs, module, name",
+    [
+        (["generate", "--family", "cycle", "--n", "6", "--delta", "2", "--out", "{a}"],
+         "a", cli, "write_edge_list"),
+        # the query log is written before the graph that fails
+        (["reconstruct", "{src}", "--log-queries", "{a}", "--out", "{b}"],
+         "ab", cli, "write_edge_list"),
+        # the CSV is written before the JSON mirror that fails
+        (["bench", "--family", "cycle", "--sizes", "6", "--delta", "2",
+          "--ell-from-truth", "--out", "{a}", "--json", "{b}"], "ab", json, "dump"),
+    ],
+    ids=["generate", "reconstruct", "bench"],
+)
+def test_output_that_fails_mid_write_keeps_existing_files(
+    tmp_path, capsys, monkeypatch, args, outputs, module, name
+):
+    def disk_full(*_, **__):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(module, name, disk_full)
+    src = tmp_path / "c6.edges"
+    write_graph(src, cycle(6))
+    paths = {"src": src, "a": tmp_path / "a.out", "b": tmp_path / "b.out"}
+    for key in outputs:
+        paths[key].write_text(f"precious {key}\n")
+    before = sorted(os.listdir(tmp_path))
+    assert main([a.format(**paths) for a in args]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+    for key in outputs:
+        assert paths[key].read_text() == f"precious {key}\n"
+
+
+def test_one_vertex_query_log_is_written_empty(tmp_path):
+    src, log = tmp_path / "k1.edges", tmp_path / "q.csv"
+    write_graph(src, Graph(1))
+    assert main(["reconstruct", str(src), "--log-queries", str(log)]) == 0
+    assert log.read_text() == ""
+
+
+def test_outputs_get_the_mode_of_a_new_file(tmp_path):
+    out, mirror = tmp_path / "b.csv", tmp_path / "b.json"
+    old = os.umask(0o027)
+    try:
+        assert main(["bench", "--family", "cycle", "--sizes", "6", "--delta", "2",
+                     "--ell-from-truth", "--out", str(out), "--json", str(mirror)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(mirror.stat().st_mode) == 0o640
+
+
+def test_output_through_a_link_replaces_its_target(tmp_path):
+    target, link = tmp_path / "target.edges", tmp_path / "link.edges"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert main(["generate", "--family", "cycle", "--n", "6", "--delta", "2",
+                 "--out", str(link)]) == 0
+    assert link.is_symlink() and graphs_equal(read_edge_list(target.read_text()), cycle(6))
+    assert sorted(os.listdir(tmp_path)) == ["link.edges", "target.edges"]
+
+
+def test_one_path_for_two_outputs_is_an_error(tmp_path, capsys):
+    src, out = tmp_path / "p5.edges", tmp_path / "both"
+    write_graph(src, path_graph(5))
+    assert main(["reconstruct", str(src), "--out", str(out), "--log-queries", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(os.listdir(tmp_path)) == ["p5.edges"]
 
 
 class TestVerify:
