@@ -127,14 +127,11 @@ def run_one(
         max_degree=true_delta,
     )
     correct = False
-    suspected = False
     start = time.perf_counter()
     try:
         result = reconstruct(oracle, cfg)
         correct = graphs_equal(result.graph, hidden)
-        suspected = not correct
     except ReconstructionError:
-        suspected = True
         result = None
     wall = time.perf_counter() - start
     ledger = oracle.ledger
@@ -155,7 +152,7 @@ def run_one(
         "wall_time": f"{wall:.6f}",
         "_extras": {
             "raw_calls": ledger.raw_calls,
-            "tau_violation_suspected": suspected,
+            "tau_violation_suspected": not correct,
             "true_max_degree": true_delta,
             "budget_neighbor_per_vertex": true_delta ** (2 * eff_ell + 4),
             "budget_neighbor_per_vertex_loose": true_delta ** (4 * eff_ell + 8),

@@ -50,7 +50,7 @@ class Graph:
         return sum(len(a) for a in self.adj) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return len(self.adj[self._vertex(v)])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
@@ -60,9 +60,14 @@ class Graph:
                     yield (u, v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        a = self.adj[u]
-        i = bisect_left(a, v)
+        a = self.adj[self._vertex(u)]
+        i = bisect_left(a, self._vertex(v))
         return i < len(a) and a[i] == v
+
+    def _vertex(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -93,16 +93,16 @@ class LayeringTree:
     Part ids are assigned in (layer, min vertex id) order, so ids of a capped
     tree match the ids of the full tree truncated at the same depth.
 
-    Growth keeps, per part, the number of parts in its subtree (`size`), the
-    number and id sum of its capped-layer descendants (valid while
-    `cap_seen` equals `cap`), and a skew-binary jump pointer (Myers, 1983),
-    so subtree sizes are O(1) reads and level ancestors take O(log n) steps.
-    Each appended layer updates the counts in one pass up the tree, which
-    visits every ancestor of the new parts once.
+    Growth keeps, per part, the number of parts in its subtree (`size`) and
+    a skew-binary jump pointer (Myers, 1983), so subtree sizes are O(1)
+    reads and level ancestors take O(log n) steps. Each appended layer
+    updates the sizes in one pass up the tree, which visits every ancestor
+    of the new parts once, and rebuilds `caps`: the number and id sum of
+    the capped-layer parts below each part that pass visits.
     """
 
     __slots__ = ("parts", "parent", "children", "vertex_to_part", "layer_parts", "cap",
-                 "size", "jump", "cap_count", "cap_sum", "cap_seen")
+                 "size", "jump", "caps")
 
     def __init__(self, n: int):
         self.parts: list[Part] = []
@@ -113,9 +113,7 @@ class LayeringTree:
         self.cap = -1
         self.size: list[int] = []
         self.jump: list[int] = []
-        self.cap_count: list[int] = []
-        self.cap_sum: list[int] = []
-        self.cap_seen: list[int] = []
+        self.caps: dict[int, tuple[int, int]] = {}
 
     def parts_at(self, layer: int) -> list[int]:
         return self.layer_parts[layer]
@@ -135,9 +133,7 @@ class LayeringTree:
 
     def caps_below(self, pid: int) -> tuple[int, int]:
         """(count, id sum) of the capped-layer parts in pid's subtree."""
-        if self.cap_seen[pid] != self.cap:
-            return 0, 0
-        return self.cap_count[pid], self.cap_sum[pid]
+        return self.caps.get(pid, (0, 0))
 
     # -- growth ------------------------------------------------------------
 
@@ -147,11 +143,11 @@ class LayeringTree:
         labels: dict[int, int],
         layering: Layering,
         prefix_graph: GraphLike,
-    ) -> list[int]:
+    ) -> None:
         """Add the parts of layer k, grouping that layer by component label.
 
         `labels` must cover every vertex of layer k (a components_masked pass
-        over a window of layers starting at k). Returns the new part ids.
+        over a window of layers starting at k).
         """
         if k != self.cap + 1:
             raise PartialTreeError(f"cannot append layer {k} to a tree capped at {self.cap}")
@@ -184,17 +180,16 @@ class LayeringTree:
                     )
                 self.parent.append(parent_pid)
                 self.children[parent_pid].append(pid)
-            self._add_leaf(pid, k)
+            self._add_leaf(pid)
             for u in vs:
                 self.vertex_to_part[u] = pid
             new_ids.append(pid)
-        self._count_layer(new_ids, k)
+        self._count_layer(new_ids)
         self.layer_parts.append(new_ids)
         self.cap = k
-        return new_ids
 
-    def _add_leaf(self, pid: int, k: int) -> None:
-        """Set the jump pointer and the counts of new leaf pid at layer k."""
+    def _add_leaf(self, pid: int) -> None:
+        """Set the jump pointer and the size of new leaf pid."""
         parent, jump, parts = self.parent, self.jump, self.parts
         p = parent[pid]
         if p < 0:
@@ -205,16 +200,13 @@ class LayeringTree:
             even = parts[p].layer - mid == mid - parts[jump[j]].layer
             jump.append(jump[j] if even else p)
         self.size.append(1)
-        self.cap_count.append(1)
-        self.cap_sum.append(pid)
-        self.cap_seen.append(k)
 
-    def _count_layer(self, new_ids: list[int], k: int) -> None:
-        """Count the new leaves of layer k in every ancestor, in one upward
-        pass: counts merge one layer at a time while the ancestors differ,
-        then one walk covers the single chain left above them."""
-        parent, size, count, total, seen = (
-            self.parent, self.size, self.cap_count, self.cap_sum, self.cap_seen)
+    def _count_layer(self, new_ids: list[int]) -> None:
+        """Count the new leaves in every ancestor, in one upward pass: counts
+        merge one layer at a time while the ancestors differ, then one walk
+        covers the single chain left above them."""
+        parent, size = self.parent, self.size
+        caps = self.caps = {pid: (1, pid) for pid in new_ids}
         up: dict[int, list[int]] = {}  # ancestor -> [new leaves below, their id sum]
         for pid in new_ids:
             p = parent[pid]
@@ -226,15 +218,16 @@ class LayeringTree:
             nxt: dict[int, list[int]] = {}
             for p, (c, t) in up.items():
                 size[p] += c
-                count[p], total[p], seen[p] = c, t, k
+                caps[p] = c, t
                 acc = nxt.setdefault(parent[p], [0, 0])
                 acc[0] += c
                 acc[1] += t
             up = nxt
         for p, (c, t) in up.items():
+            ct = c, t
             while p >= 0:
                 size[p] += c
-                count[p], total[p], seen[p] = c, t, k
+                caps[p] = ct
                 p = parent[p]
 
 

@@ -96,14 +96,14 @@ class _PivotNode:
     root in `excluded`. Appending leaf parts never changes which subtree a
     node names, so its pivot and children carry over to the next layer."""
 
-    __slots__ = ("top", "excluded", "layer", "size", "cap_count", "sole_cap_part",
+    __slots__ = ("top", "excluded", "layer", "size", "cap_parts", "sole_cap_part",
                  "pivot", "kids")
 
     def __init__(self, top: int, excluded: tuple[int, ...]):
         self.top = top
         self.excluded = excluded
         self.layer = -1  # cap layer the fields below were computed for
-        self.size = self.cap_count = self.sole_cap_part = 0
+        self.size = self.cap_parts = self.sole_cap_part = 0
         self.pivot = -1
         self.kids: dict[int, _PivotNode] = {}  # by the kid's top; -1 above the pivot
 
@@ -144,9 +144,9 @@ class _AncestorSearch:
         while True:
             if node.layer != tree.cap:
                 self._refresh(node, rounds)
-            if node.cap_count == 1:
+            if node.cap_parts == 1:
                 return node.sole_cap_part, ledger.distinct_queries - before, rounds
-            if node.cap_count == 0:
+            if node.cap_parts == 0:
                 raise InvariantViolation(
                     "descent reached a subtree with no capped-layer part; "
                     "the configured diameter bound is likely too small"
@@ -192,7 +192,7 @@ class _AncestorSearch:
             size -= tree.size[r]
             count -= c
             total -= t
-        node.size, node.cap_count, node.sole_cap_part = size, count, total
+        node.size, node.cap_parts, node.sole_cap_part = size, count, total
         if count < 2 or size < 3:
             return
         start = node.pivot
@@ -264,30 +264,27 @@ def _extend_layer(
     k = i - ell - 2
     tree = search.tree
     labels = _grow_tree(tree, layering, builder, k, ell)
-    if max_degree is not None:
-        part_limit = max_degree ** (ell + 1)
-        for pid in tree.parts_at(k):
-            if len(tree.parts[pid].vertices) > part_limit:
-                raise InvariantViolation(
-                    f"part at layer {k} has {len(tree.parts[pid].vertices)} "
-                    f"vertices, above the bound {part_limit}; the diameter "
-                    "bound is likely too small"
-                )
-    layers = layering.layers
-    n = len(layering.depth)
-
+    part_limit = max_degree ** (ell + 1) if max_degree is not None else None
     label_to_part: dict[int, int] = {}
     for pid in tree.parts_at(k):
-        label_to_part[labels[tree.parts[pid].vertices[0]]] = pid
-    anc: dict[int, int] = {}
-    try:
-        for layer in layers[k:i]:
-            for u in layer:
-                anc[u] = label_to_part[labels[u]]
-    except KeyError:
+        vs = tree.parts[pid].vertices
+        if part_limit is not None and len(vs) > part_limit:
+            raise InvariantViolation(
+                f"part at layer {k} has {len(vs)} vertices, above the bound "
+                f"{part_limit}; the diameter bound is likely too small"
+            )
+        label_to_part[labels[vs[0]]] = pid
+    # Each part holds one window component's layer-k vertices, so a further
+    # label is a component of layers k..i-1 that never reaches layer k.
+    if len(set(labels.values())) > len(label_to_part):
         raise InvariantViolation(
             "a prefix vertex is disconnected from every capped-layer part"
-        ) from None
+        )
+    layers = layering.layers
+    n = len(layering.depth)
+    prev_by_part: dict[int, list[int]] = {}
+    for u in layers[i - 1]:
+        prev_by_part.setdefault(label_to_part[labels[u]], []).append(u)
 
     ledger = oracle.ledger
     anc_limit = (
@@ -296,6 +293,8 @@ def _extend_layer(
     anc_before = ledger.distinct_queries
     max_call = 0
     max_rounds = 0
+    anc: dict[int, int] = {}
+    cur_by_part: dict[int, list[int]] = {}
     for x in layers[i]:
         pid, cost, rounds = search.locate(x, oracle)
         if strict and cost > anc_limit:
@@ -303,16 +302,10 @@ def _extend_layer(
                 f"ancestor search for {x} used {cost} queries, limit {anc_limit}"
             )
         anc[x] = pid
+        cur_by_part.setdefault(pid, []).append(x)
         max_call = max(max_call, cost)
         max_rounds = max(max_rounds, rounds)
     anc_total = ledger.distinct_queries - anc_before
-
-    prev_by_part: dict[int, list[int]] = {}
-    for u in layers[i - 1]:
-        prev_by_part.setdefault(anc[u], []).append(u)
-    cur_by_part: dict[int, list[int]] = {}
-    for x in layers[i]:
-        cur_by_part.setdefault(anc[x], []).append(x)
 
     cand_limit = max_degree ** (2 * ell + 4) if max_degree is not None else None
     nb_before = ledger.distinct_queries

@@ -23,7 +23,9 @@ from sprec import (
     reconstruct,
     tree_length,
 )
-from sprec.reconstruct import _AncestorSearch, _grow_tree
+from sprec.graph import GraphBuilder
+from sprec.layering import InvariantViolation
+from sprec.reconstruct import _AncestorSearch, _extend_layer, _grow_tree
 
 from .baselines import reconstruct_naive
 from .conftest import brute_anc, capped_tree, prefix_graph, random_graph
@@ -242,6 +244,21 @@ class TestExtendOneLayer:
                     assert logged[frozenset((v, w))] == [(v, "neighbor-search")]
                 shared += len(later)
         assert shared > 0
+
+    def test_window_component_without_a_capped_vertex_raises(self):
+        # Path 0-1-2-3-4 with ell = 0: extending layer 3 caps the tree at
+        # layer 1 and labels the window of layers 1 and 2. The prefix lacks
+        # the edge (1, 2), so vertex 2 is a window component of its own.
+        g = path(5)
+        lay = build_layering(g, 0)
+        prefix = GraphBuilder(g.n)
+        prefix.add_edge(0, 1)
+        search = _AncestorSearch(LayeringTree(g.n), prefix)
+        _grow_tree(search.tree, lay, prefix, 0, 0)
+        oracle = DistanceOracle(g)
+        with pytest.raises(InvariantViolation, match="disconnected from every capped-layer part"):
+            _extend_layer(prefix, lay, search, 3, 0, oracle, 2, True)
+        assert oracle.ledger.distinct_queries == 0  # raised before any query
 
     def test_ring_of_cliques_is_covered_by_bootstrap(self):
         # With the measured diameter bound, a clique ring's layer count never
