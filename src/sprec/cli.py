@@ -182,17 +182,13 @@ def _emit_records(records: list[dict], out: io.TextIOBase, mirror: io.TextIOBase
         mirror.write("\n")
 
 
+def _family_spec(args: argparse.Namespace, n: int, seed: int) -> FamilySpec:
+    return FamilySpec(args.family, n, args.delta, args.k, args.clique_size, seed)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = FamilySpec(
-        family=args.family,
-        n=args.n,
-        max_degree=args.delta,
-        k=args.k,
-        clique_size=args.clique_size,
-        seed=args.seed,
-    )
     with _staged_outputs(args.out) as files:
-        graph, meta = generate(spec)
+        graph, meta = generate(_family_spec(args, args.n, args.seed))
         files.pop(args.out).write(write_edge_list(graph))
     tl = meta["tl_bound"]
     print(
@@ -240,15 +236,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for n in sizes:
             for rep in range(args.repeats):
                 seed = args.seed + rep
-                spec = FamilySpec(
-                    family=args.family,
-                    n=n,
-                    max_degree=args.delta,
-                    k=args.k,
-                    clique_size=args.clique_size,
-                    seed=seed,
-                )
-                hidden, _ = generate(spec)
+                hidden, _ = generate(_family_spec(args, n, seed))
                 ell = _ell_from_truth(hidden) if args.ell_from_truth else None
                 record, _ = run_one(
                     hidden,
@@ -294,45 +282,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", help="write a seeded family instance")
-    p_gen.add_argument("--family", required=True, choices=FAMILIES)
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--delta", type=int, required=True, help="degree cap")
-    p_gen.add_argument("--k", type=int, default=None, help="ktree parameter")
-    p_gen.add_argument("--clique-size", type=int, default=None)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_rec = sub.add_parser("reconstruct", help="reconstruct a graph file via queries")
-    p_rec.add_argument("graph", help="edge-list file of the hidden graph")
-    p_rec.add_argument("--tau", type=_positive_int, default=1, help="treelength bound")
-    p_rec.add_argument("--ell", type=int, default=None, help="direct diameter bound")
-    p_rec.add_argument(
+    # Flag groups that two subcommands share, each declared once.
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, choices=FAMILIES)
+    family.add_argument("--delta", type=int, required=True, help="degree cap")
+    family.add_argument("--k", type=int, default=None, help="ktree parameter")
+    family.add_argument("--clique-size", type=int, default=None)
+    bound = argparse.ArgumentParser(add_help=False)
+    bound.add_argument("--tau", type=_positive_int, default=1, help="treelength bound")
+    bound.add_argument(
         "--ell-from-truth",
         action="store_true",
         help="measure the exact layering-tree length of the input instead",
     )
-    p_rec.add_argument("--strict-budget", action="store_true")
+    bound.add_argument("--strict-budget", action="store_true")
+
+    p_gen = sub.add_parser(
+        "generate", parents=[family], help="write a seeded family instance"
+    )
+    p_gen.add_argument("--n", type=int, required=True)
+    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--out", required=True)
+    p_gen.set_defaults(func=cmd_generate)
+
+    p_rec = sub.add_parser(
+        "reconstruct", parents=[bound], help="reconstruct a graph file via queries"
+    )
+    p_rec.add_argument("graph", help="edge-list file of the hidden graph")
+    p_rec.add_argument("--ell", type=int, default=None, help="direct diameter bound")
     p_rec.add_argument("--log-queries", default=None, metavar="FILE")
     p_rec.add_argument("--out", default=None, help="write the reconstruction here")
     p_rec.set_defaults(func=cmd_reconstruct)
 
-    p_bench = sub.add_parser("bench", help="sweep sizes and seeds, emit records")
-    p_bench.add_argument("--family", required=True, choices=FAMILIES)
+    p_bench = sub.add_parser(
+        "bench", parents=[family, bound], help="sweep sizes and seeds, emit records"
+    )
     p_bench.add_argument(
         "--sizes", required=True, type=_size_list, help="comma-separated n values"
     )
-    p_bench.add_argument("--delta", type=int, required=True)
-    p_bench.add_argument("--k", type=int, default=None)
-    p_bench.add_argument("--clique-size", type=int, default=None)
-    p_bench.add_argument("--tau", type=_positive_int, default=1)
-    p_bench.add_argument("--ell-from-truth", action="store_true")
     p_bench.add_argument("--repeats", type=_positive_int, default=1)
     p_bench.add_argument("--seed", type=int, default=0, help="base seed")
     p_bench.add_argument("--out", required=True, help="CSV output path")
     p_bench.add_argument("--json", default=None, help="JSON mirror path")
-    p_bench.add_argument("--strict-budget", action="store_true")
     p_bench.set_defaults(func=cmd_bench)
 
     p_ver = sub.add_parser("verify", help="compare two edge-list files")

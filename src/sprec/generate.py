@@ -23,15 +23,6 @@ CYCLE = "cycle"
 CATERPILLAR = "caterpillar"
 BOUNDED_DEGREE_CONNECTED = "bounded-degree-connected"
 
-FAMILIES = (
-    RANDOM_TREE,
-    KTREE,
-    RING_OF_CLIQUES,
-    CYCLE,
-    CATERPILLAR,
-    BOUNDED_DEGREE_CONNECTED,
-)
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -92,16 +83,7 @@ class FamilySpec:
 def generate(spec: FamilySpec) -> tuple[Graph, dict]:
     """Build the graph for a spec plus metadata (known treelength bound, if any)."""
     spec.validate()
-    rng = SplitMix64(spec.seed)
-    builders = {
-        RANDOM_TREE: _random_tree,
-        KTREE: _ktree,
-        RING_OF_CLIQUES: _ring_of_cliques,
-        CYCLE: _cycle,
-        CATERPILLAR: _caterpillar,
-        BOUNDED_DEGREE_CONNECTED: _bounded_degree_connected,
-    }
-    graph, tl_bound = builders[spec.family](spec, rng)
+    graph, tl_bound = _BUILDERS[spec.family](spec, SplitMix64(spec.seed))
     meta = {
         "family": spec.family,
         "n": spec.n,
@@ -117,7 +99,9 @@ def _require(cond: bool, message: str) -> None:
         raise InfeasibleSpecError(message)
 
 
-def _random_tree_edges(n: int, cap: int, rng: SplitMix64) -> list[tuple[int, int]]:
+def _random_tree_edges(
+    n: int, cap: int, rng: SplitMix64
+) -> tuple[list[tuple[int, int]], list[int]]:
     edges: list[tuple[int, int]] = []
     degree = [0] * n
     eligible = [0]
@@ -132,14 +116,14 @@ def _random_tree_edges(n: int, cap: int, rng: SplitMix64) -> list[tuple[int, int
             eligible.pop()
         if degree[v] < cap:
             eligible.append(v)
-    return edges
+    return edges, degree
 
 
 def _random_tree(spec: FamilySpec, rng: SplitMix64) -> tuple[Graph, int | None]:
     n, cap = spec.n, spec.max_degree
     _require(n == 1 or cap >= 1, "a tree with n >= 2 needs max_degree >= 1")
     _require(n <= 2 or cap >= 2, "a tree with n >= 3 needs max_degree >= 2")
-    return Graph(n, _random_tree_edges(n, cap, rng)), 1
+    return Graph(n, _random_tree_edges(n, cap, rng)[0]), 1
 
 
 def _ktree(spec: FamilySpec, rng: SplitMix64) -> tuple[Graph, int | None]:
@@ -234,12 +218,8 @@ def _bounded_degree_connected(
     n, cap = spec.n, spec.max_degree
     _require(n == 1 or cap >= 1, "a connected graph with n >= 2 needs max_degree >= 1")
     _require(n <= 2 or cap >= 2, "a connected graph with n >= 3 needs max_degree >= 2")
-    edges = _random_tree_edges(n, cap, rng)
+    edges, degree = _random_tree_edges(n, cap, rng)
     present = {(u, v) if u < v else (v, u) for u, v in edges}
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
     for _ in range(2 * n):
         u = rng.randrange(n)
         v = rng.randrange(n)
@@ -254,3 +234,14 @@ def _bounded_degree_connected(
         degree[v] += 1
     return Graph(n, edges), None
 
+
+# Family name -> builder; its order is the order of FAMILIES.
+_BUILDERS = {
+    RANDOM_TREE: _random_tree,
+    KTREE: _ktree,
+    RING_OF_CLIQUES: _ring_of_cliques,
+    CYCLE: _cycle,
+    CATERPILLAR: _caterpillar,
+    BOUNDED_DEGREE_CONNECTED: _bounded_degree_connected,
+}
+FAMILIES = tuple(_BUILDERS)

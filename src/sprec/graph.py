@@ -95,6 +95,9 @@ class GraphBuilder:
         self._edges: list[tuple[int, int]] = []
 
     def add_edge(self, u: int, v: int) -> None:
+        for w in (u, v):
+            if not 0 <= w < self.n:
+                raise ValueError(f"vertex {w} out of range for n={self.n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         self.adj[u].append(v)

@@ -15,6 +15,7 @@ independent runs can execute concurrently, each with its own oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .graph import Graph, GraphBuilder, GraphLike, components_masked, neighbors_of_set
 from .layering import (
@@ -34,6 +35,13 @@ class BudgetExceeded(ReconstructionError):
 
 def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n >= 1 else 0
+
+
+def _integer(name: str, value: object) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -56,11 +64,11 @@ class ReconstructionConfig:
         return self.ell if self.ell is not None else 3 * self.tau
 
     def validate(self) -> None:
-        if self.ell is None and self.tau < 1:
+        if self.ell is None and _integer("tau", self.tau) < 1:
             raise ValueError("tau must be a positive integer")
-        if self.ell is not None and self.ell < 0:
+        if self.ell is not None and _integer("ell", self.ell) < 0:
             raise ValueError("ell must be nonnegative")
-        if self.max_degree is not None and self.max_degree < 0:
+        if self.max_degree is not None and _integer("max_degree", self.max_degree) < 0:
             raise ValueError("max_degree must be nonnegative when given")
         if self.strict_budget and self.max_degree is None:
             raise ValueError(
@@ -217,11 +225,11 @@ class _AncestorSearch:
             raise InvariantViolation(
                 "nearest pivot neighbor points outside the current subtree"
             )
-        below = tree.is_under(wp, p)
-        key = tree.ancestor_at(wp, tree.parts[p].layer + 1) if below else -1
+        # prefix edges join adjacent layers or stay inside a part: wp is p's child or above p
+        key = wp if tree.parent[wp] == p else -1
         kid = node.kids.get(key)
         if kid is None:
-            if below:
+            if key >= 0:
                 kid = _PivotNode(key, tuple(r for r in node.excluded if tree.is_under(r, key)))
             else:
                 rest = tuple(r for r in node.excluded if not tree.is_under(r, p))

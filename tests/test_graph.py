@@ -69,6 +69,15 @@ class TestConstruction:
         b.add_edge(1, 3)
         assert b.to_graph() == Graph(4, [(0, 2), (1, 3)])
 
+    @pytest.mark.parametrize("u, v, bad", [(0, 5, 5), (0, -1, -1), (3, 1, 3)])
+    def test_builder_rejects_out_of_range_vertex(self, u, v, bad):
+        b = GraphBuilder(3)
+        b.add_edge(0, 1)
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=3$"):
+            b.add_edge(u, v)
+        assert b.adj == [[1], [0], []]
+        assert b.to_graph() == Graph(3, [(0, 1)])
+
     def test_edges_lexicographic(self):
         g = Graph(4, [(2, 3), (0, 2), (0, 1)])
         assert list(g.edges()) == [(0, 1), (0, 2), (2, 3)]

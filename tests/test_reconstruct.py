@@ -58,6 +58,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             ReconstructionConfig(ell=-1).validate()
 
+    @pytest.mark.parametrize("field, value", [("tau", 1.5), ("ell", 2.0), ("max_degree", 3.5)])
+    def test_rejects_non_integer_parameters_before_any_query(self, field, value):
+        oracle = DistanceOracle(generate(FamilySpec(RANDOM_TREE, 64, 3))[0])
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value}$"):
+            reconstruct(oracle, ReconstructionConfig(**{field: value}))
+        assert oracle.ledger.raw_calls == 0
+
+    def test_accepts_int_like_parameters(self):
+        np = pytest.importorskip("numpy")
+        g, _ = generate(FamilySpec(RANDOM_TREE, 64, 3))
+        for cfg in (
+            ReconstructionConfig(tau=np.int64(1), strict_budget=True, max_degree=np.int32(3)),
+            ReconstructionConfig(ell=np.int64(3)),
+        ):
+            assert graphs_equal(reconstruct(DistanceOracle(g), cfg).graph, g)
+
     def test_strict_needs_max_degree(self):
         with pytest.raises(ValueError, match="max_degree"):
             ReconstructionConfig(strict_budget=True).validate()
@@ -259,6 +275,27 @@ class TestExtendOneLayer:
         with pytest.raises(InvariantViolation, match="disconnected from every capped-layer part"):
             _extend_layer(prefix, lay, search, 3, 0, oracle, 2, True)
         assert oracle.ledger.distinct_queries == 0  # raised before any query
+
+    @pytest.mark.parametrize("strict, error, message", [
+        (True, BudgetExceeded, "ancestor search for 3 used 6 queries, limit 5"),
+        (False, InvariantViolation, "candidate set of size 2 for vertex 3 exceeds the "
+                                    "part-growth bound 1"),
+    ])
+    def test_spider_with_a_too_small_degree_bound_raises(self, strict, error, message):
+        # A spider of six legs of three vertices each, with ell = 0 and a
+        # degree bound of 1: the tree is capped at layer 1, whose six parts
+        # hang from the root part, so locating a layer-3 vertex asks all six
+        # neighbours of the root pivot (limit 1 * ceil(log2 19) = 5), and its
+        # candidates are its leg's layer-2 vertex and itself (bound 1).
+        g = Graph(19, [(0 if v % 3 == 1 else v - 1, v) for v in range(1, 19)])
+        lay = build_layering(g, 0)
+        prefix = GraphBuilder(g.n)
+        for u, v in prefix_graph(g, lay, 3).edges():
+            prefix.add_edge(u, v)
+        search = _AncestorSearch(LayeringTree(g.n), prefix)
+        _grow_tree(search.tree, lay, prefix, 0, 0)
+        with pytest.raises(error, match=f"^{message}"):
+            _extend_layer(prefix, lay, search, 3, 0, DistanceOracle(g), 1, strict)
 
     def test_ring_of_cliques_is_covered_by_bootstrap(self):
         # With the measured diameter bound, a clique ring's layer count never
