@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, max_degree
+from .graph import Graph, as_integer, max_degree
 
 RANDOM_TREE = "random-tree"
 KTREE = "ktree"
@@ -74,9 +74,14 @@ class FamilySpec:
             raise InfeasibleSpecError(
                 f"unknown family {self.family!r}; choose from {FAMILIES}"
             )
-        if self.n < 1:
+        n, cap = as_integer("n", self.n), as_integer("max_degree", self.max_degree)
+        as_integer("seed", self.seed)
+        for name in ("k", "clique_size"):
+            if (value := getattr(self, name)) is not None:
+                as_integer(name, value)
+        if n < 1:
             raise InfeasibleSpecError("n must be at least 1")
-        if self.max_degree < 0:
+        if cap < 0:
             raise InfeasibleSpecError("max_degree must be nonnegative")
 
 

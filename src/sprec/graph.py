@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from operator import index
 from typing import Iterable, Iterator
 
 UNREACHABLE = -1
@@ -17,6 +18,13 @@ UNREACHABLE = -1
 
 class EdgeListParseError(ValueError):
     """Malformed edge-list text; the message names the offending line."""
+
+
+def as_integer(name: str, value: object) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 class Graph:
@@ -28,22 +36,21 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
+        for a in adj:
+            a.sort()
+        # Only a repeated edge repeats a neighbour; then scan to name the least.
+        if sum(map(len, map(set, adj))) != sum(map(len, adj)):
+            u, v = next((u, x) for u, a in enumerate(adj) for x, y in zip(a, a[1:]) if x == y)
+            raise ValueError(f"duplicate edge ({u},{v})")
         self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(a)) for a in adj
-        )
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     @property
     def m(self) -> int:
@@ -83,16 +90,15 @@ class Graph:
 class GraphBuilder:
     """Mutable adjacency accumulator; freeze with to_graph().
 
-    Not thread safe; owned by a single reconstruction run. The caller is
-    responsible for not adding an edge twice (to_graph() re-validates).
+    Not thread safe; owned by a single reconstruction run. to_graph() reads
+    each edge off the adjacency lists once, so an edge added twice raises.
     """
 
-    __slots__ = ("n", "adj", "_edges")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int):
         self.n = n
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        self._edges: list[tuple[int, int]] = []
 
     def add_edge(self, u: int, v: int) -> None:
         for w in (u, v):
@@ -102,10 +108,9 @@ class GraphBuilder:
             raise ValueError(f"self-loop at vertex {u}")
         self.adj[u].append(v)
         self.adj[v].append(u)
-        self._edges.append((u, v) if u < v else (v, u))
 
     def to_graph(self) -> Graph:
-        return Graph(self.n, self._edges)
+        return Graph(self.n, ((u, v) for u, a in enumerate(self.adj) for v in a if u < v))
 
 
 GraphLike = Graph | GraphBuilder

@@ -118,18 +118,14 @@ class LayeringTree:
     def parts_at(self, layer: int) -> list[int]:
         return self.layer_parts[layer]
 
-    def ancestor_at(self, pid: int, layer: int) -> int:
-        """Ancestor of part pid at `layer` (pid itself at its own layer)."""
+    def is_under(self, pid: int, top: int) -> bool:
+        """Whether part pid lies in the subtree rooted at part top."""
         parts, jump = self.parts, self.jump
+        layer = parts[top].layer
         while parts[pid].layer > layer:
             j = jump[pid]
             pid = j if parts[j].layer >= layer else self.parent[pid]
-        return pid
-
-    def is_under(self, pid: int, top: int) -> bool:
-        """Whether part pid lies in the subtree rooted at part top."""
-        layer = self.parts[top].layer
-        return self.parts[pid].layer >= layer and self.ancestor_at(pid, layer) == top
+        return pid == top
 
     def caps_below(self, pid: int) -> tuple[int, int]:
         """(count, id sum) of the capped-layer parts in pid's subtree."""

@@ -15,9 +15,10 @@ independent runs can execute concurrently, each with its own oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 
-from .graph import Graph, GraphBuilder, GraphLike, components_masked, neighbors_of_set
+from .graph import (
+    Graph, GraphBuilder, GraphLike, as_integer, components_masked, neighbors_of_set,
+)
 from .layering import (
     InvariantViolation,
     Layering,
@@ -35,13 +36,6 @@ class BudgetExceeded(ReconstructionError):
 
 def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n >= 1 else 0
-
-
-def _integer(name: str, value: object) -> int:
-    try:
-        return index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -64,11 +58,11 @@ class ReconstructionConfig:
         return self.ell if self.ell is not None else 3 * self.tau
 
     def validate(self) -> None:
-        if self.ell is None and _integer("tau", self.tau) < 1:
+        if self.ell is None and as_integer("tau", self.tau) < 1:
             raise ValueError("tau must be a positive integer")
-        if self.ell is not None and _integer("ell", self.ell) < 0:
+        if self.ell is not None and as_integer("ell", self.ell) < 0:
             raise ValueError("ell must be nonnegative")
-        if self.max_degree is not None and _integer("max_degree", self.max_degree) < 0:
+        if self.max_degree is not None and as_integer("max_degree", self.max_degree) < 0:
             raise ValueError("max_degree must be nonnegative when given")
         if self.strict_budget and self.max_degree is None:
             raise ValueError(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from sprec import (
@@ -72,6 +74,33 @@ class TestDeterminism:
         assert not graphs_equal(a, b)
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize("field", ["n", "max_degree", "seed", "k", "clique_size"])
+    def test_float_field_is_rejected_before_any_builder_runs(self, field):
+        spec = replace(FamilySpec(RANDOM_TREE, 6, 2), **{field: 2.5})
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got 2.5$"):
+            generate(spec)
+
+    def test_int_like_fields_pass(self):
+        class IntLike:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        FamilySpec(KTREE, IntLike(6), IntLike(4), k=IntLike(2), clique_size=IntLike(3),
+                   seed=IntLike(0)).validate()
+
+    @pytest.mark.parametrize("n, max_degree, message", [
+        (0, 2, "n must be at least 1"),
+        (6, -1, "max_degree must be nonnegative"),
+    ])
+    def test_out_of_range_size_or_cap(self, n, max_degree, message):
+        with pytest.raises(InfeasibleSpecError, match=f"^{message}$"):
+            generate(FamilySpec(RANDOM_TREE, n, max_degree))
+
+
 class TestRandomTree:
     def test_degree_two_forces_a_path(self):
         for seed in range(10):
@@ -114,6 +143,10 @@ class TestKTree:
     def test_needs_k(self):
         with pytest.raises(InfeasibleSpecError):
             generate(FamilySpec(KTREE, 10, 8, seed=0))
+
+    def test_no_attachable_clique_under_the_cap(self):
+        with pytest.raises(InfeasibleSpecError, match="^no attachable clique respects the degree cap$"):
+            generate(FamilySpec(KTREE, 50, 3, k=2))
 
 
 class TestRingOfCliques:

@@ -48,6 +48,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2)])
 
+    @pytest.mark.parametrize("edges, pair", [
+        ([(4, 2), (0, 1), (1, 2), (3, 4), (2, 4)], "2,4"),
+        ([(2, 3), (0, 1), (3, 2), (1, 0)], "0,1"),  # the least repeated pair
+    ])
+    def test_duplicate_edge_is_named(self, edges, pair):
+        with pytest.raises(ValueError, match=rf"^duplicate edge \({pair}\)$"):
+            Graph(5, edges)
+
     @pytest.mark.parametrize("u, v", [(-1, 2), (9, 1), (1, -1), (1, 4)])
     def test_has_edge_rejects_out_of_range(self, u, v):
         with pytest.raises(ValueError, match="out of range for n=4"):
@@ -68,6 +76,13 @@ class TestConstruction:
         b.add_edge(2, 0)
         b.add_edge(1, 3)
         assert b.to_graph() == Graph(4, [(0, 2), (1, 3)])
+
+    def test_builder_rejects_an_edge_added_twice(self):
+        b = GraphBuilder(3)
+        b.add_edge(0, 1)
+        b.add_edge(1, 0)
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0,1\)$"):
+            b.to_graph()
 
     @pytest.mark.parametrize("u, v, bad", [(0, 5, 5), (0, -1, -1), (3, 1, 3)])
     def test_builder_rejects_out_of_range_vertex(self, u, v, bad):

@@ -313,7 +313,34 @@ class TestExtendOneLayer:
             assert res.trace == ()
 
 
+class SkipsDepthTwo(DistanceOracle):
+    """Answers every root-scan query past depth 1 one too deep."""
+
+    def query(self, u, v, phase):
+        d = super().query(u, v, phase)
+        return d + 1 if phase is QueryPhase.ROOT_BFS and d >= 2 else d
+
+
+class LosesVertexSeven(DistanceOracle):
+    """Answers the root scan's query for vertex 7 with -1."""
+
+    def query(self, u, v, phase):
+        d = super().query(u, v, phase)
+        return -1 if phase is QueryPhase.ROOT_BFS and v == 7 else d
+
+
 class TestReconstruct:
+    @pytest.mark.parametrize("oracle_type, message", [
+        (SkipsDepthTwo, "empty layer 2 below the deepest layer"),
+        (LosesVertexSeven, "vertex 7 unreachable from root"),
+    ])
+    def test_root_scan_off_the_protocol_raises_before_bootstrap(self, oracle_type, message):
+        oracle = oracle_type(path(8))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reconstruct(oracle)
+        assert oracle.ledger.per_phase[QueryPhase.BOOTSTRAP] == 0
+        assert oracle.ledger.distinct_queries == 7
+
     def test_p10_exact(self):
         g = path(10)
         o = DistanceOracle(g)
@@ -412,6 +439,11 @@ class TestBudgets:
                 + sum(row.layer_size * (per_call + per_vertex) for row in res.trace)
             )
             assert ledger.distinct_queries <= total_bound
+
+    def test_bootstrap_over_its_limit_raises(self):
+        cfg = ReconstructionConfig(tau=1, strict_budget=True, max_degree=1)
+        with pytest.raises(BudgetExceeded, match="^bootstrap charged 6 queries, limit 1$"):
+            reconstruct(DistanceOracle(path(8)), cfg)
 
     def test_trace_totals_match_ledger(self):
         g, _ = generate(FamilySpec(RANDOM_TREE, 150, 4, seed=5))
