@@ -18,7 +18,10 @@ All balls share one dense list, each marking d(s, x) as base + d above the
 marks of the balls before it, so no batch allocates or clears n entries. A
 single query reads exact 2-hop distance labels of the hidden graph: pruned
 landmark labels (Akiba, Iwata and Yoshida, SIGMOD 2013), built at the first
-single query by one pruned BFS per vertex.
+single query by one pruned BFS per vertex, each a hub tuple and a distance
+tuple. One vertex's label is held, spread over an n-entry hub array, so a
+pair with a held end reads one label: the ancestor search, asking (w, x) for
+many w, loads x once per descent.
 Vertices are ranked by a centroid decomposition of a BFS tree of the hidden
 graph from vertex 0. Labels are exact under any order; this one keeps them
 near log2 n entries per vertex on bounded-treelength graphs: at n=8192, 8.1
@@ -117,19 +120,12 @@ class DistanceOracle:
     """Simulates shortest-path distance queries against a hidden graph.
 
     The ledger keeps each charged pair as a partner id at both ends, not its
-    distance, and the hidden side never builds an all-pairs table.
-
-    batch_distances_from(s, ...) grows a BFS ball around s in the dense list
-    all batches share, only as far as its farthest target,
-    and charges the batch's new pairs in one pass, at O(|partners[s]|) for
-    the ledger; its ledger, log and answers equal those of query(s, t) per
-    target. query(u, v) costs O(shorter row) for the ledger and answers
-    from exact distance labels of the hidden graph (see the module
-    docstring), built at the first single query, so runs whose single
-    queries never come pay nothing for them. If the labels pass their
-    budget, query(u, v) reads a complete BFS row from u instead; rows are
-    kept least recently used first within _ROW_CACHE_BYTES; a pair, new or
-    re-asked, reads u's row.
+    distance, and the hidden side never builds an all-pairs table; the
+    module docstring gives their costs. batch_distances_from(s, ...) has the
+    ledger, log and answers of query(s, t) per target, charged in one pass.
+    query(u, v) reads the label of an end that is not held, holding v if
+    neither is; the labels are built at the first single query, so runs
+    that ask none pay nothing for them.
 
     Where query is overridden (a subclass, a wrapper), a batch calls it for
     every target and the batch's answers, taken from its ball first, answer
@@ -149,7 +145,9 @@ class DistanceOracle:
         # built at the first pair asked, 16-bit ids while they fit
         self._partners: list[array] | None = None
         self._id_code = "H" if self.n <= 1 << 16 else "i"
-        self._labels: list[dict[int, int]] | None = None  # hub -> distance per vertex
+        self._labels: list[list[tuple[int, ...]]] | None = None  # [hubs, dists]
+        self._via: list[int] = []  # the held hub array, built with the labels
+        self._held = -1  # the vertex it holds, none until a query
         self._rows: OrderedDict[int, array] = OrderedDict()  # fallback rows
         # all batch balls, built at the first batch: d(s, x) is marked as
         # base + d, and marks below _base are left from earlier balls
@@ -255,17 +253,29 @@ class DistanceOracle:
     # -- hidden-side distance computation ---------------------------------
 
     def _distance(self, u: int, v: int) -> int:
-        """d(u, v), from the running batch's answers if it has one."""
+        """d(u, v), from the running batch's answers if it has one.
+
+        Holding x, via[h] is d(h, x) for each hub h of x and n elsewhere, so
+        the least via[h] + d(h, w) over w's hubs h is d(w, x): the labels
+        share a hub on a shortest path, and one of w's alone adds at least n.
+        """
         ball = self._ball
         if ball is not None and ball[0] == u and v in ball[1]:
             return ball[1][v]
         labels = self._labels
         if labels is None:
             labels = self._labels = self._build_labels()
-        if labels:
-            lu, lv = labels[u], labels[v]
-            return min([lu[h] + lv[h] for h in lu.keys() & lv.keys()])
-        return self._row(u)[v]
+        if not labels:
+            return self._row(u)[v]
+        (hubs, dists), via, x = labels, self._via, self._held
+        if x != u and x != v:
+            for h in hubs[x]:  # x = -1 resets hubs[n - 1], all n already
+                via[h] = self.n
+            for h, d in zip(hubs[v], dists[v]):
+                via[h] = d
+            self._held = x = v
+        w = v if u == x else u
+        return min(map(add, map(via.__getitem__, hubs[w]), dists[w]))
 
     def _grow(self, s: int, pending: list[int], row: list[int], base: int) -> int:
         """Grows a batch's ball: marks d(s, x) as base + d in row, entries
@@ -308,9 +318,9 @@ class DistanceOracle:
             stats.evicted += 1
         return row
 
-    def _build_labels(self) -> list[dict[int, int]]:
-        """Pruned landmark labels of the hidden graph, hub -> distance per
-        vertex, or [] once they hold more than the budget's entries.
+    def _build_labels(self) -> list[list[tuple[int, ...]]]:
+        """Pruned landmark labels of the hidden graph, [hubs, dists] with u's
+        hubs and its distances to them in step, or [] past the budget.
 
         Vertices r are taken in _separator_order; the BFS from r does not
         label or expand a vertex u at distance d when a hub ranked before r
@@ -320,7 +330,7 @@ class DistanceOracle:
         start = time.perf_counter()
         n, adj, stats = self.n, self.hidden.adj, self.stats
         budget = _LABEL_BUDGET * n * (n - 1).bit_length()
-        labels: list[dict[int, int]] = [{} for _ in range(n)]
+        labels: list = [{} for _ in range(n)]  # hub -> distance while built
         via = [n] * n  # d(r, h) for each hub h of the root r's label, else n
         mark = [-1] * n  # the last root whose BFS reached the vertex
         entries = visits = 0
@@ -350,6 +360,11 @@ class DistanceOracle:
             if entries > budget:
                 labels = []
                 break
+        else:
+            dists = [()] * n
+            for u, lu in enumerate(labels):  # a vertex at a time: no full second copy
+                labels[u], dists[u] = tuple(lu), tuple(lu.values())
+            labels, self._via, self._held = [labels, dists], via, -1
         stats.label_entries += entries
         stats.label_visits += visits
         stats.label_seconds += time.perf_counter() - start

@@ -162,9 +162,9 @@ class _AncestorSearch:
             best_d = -1
             for w in self._neighbors[node.pivot]:
                 # (w, x), not (x, w): the query-log pins record this order.
-                # Labels answer either order alike; only once they overflow
-                # does w first pay, as the layer's vertices all probe the
-                # same pivot neighbours and reuse their fallback rows.
+                # The labels hold x for its whole descent and read w's label
+                # alone; past their budget w's fallback row is read, which
+                # the layer's vertices reuse, as they probe the same pivots.
                 d = oracle.query(w, x, QueryPhase.ANCESTOR_SEARCH)
                 if best_w < 0 or d < best_d:
                     best_w, best_d = w, d

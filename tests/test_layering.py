@@ -6,6 +6,7 @@ from sprec import (
     DistanceOracle,
     FamilySpec,
     Graph,
+    LayeringInvariantError,
     LayeringTree,
     PartialTreeError,
     build_layering,
@@ -184,6 +185,15 @@ class TestExtendPartialTree:
         tree = capped_tree(C6, C6_LAY, 0, 2)
         with pytest.raises(PartialTreeError):
             _grow_tree(tree, C6_LAY, C6, 2, 2)
+
+    def test_part_without_a_neighbor_one_layer_up_raises(self):
+        # the prefix graph lacks the edge (0, 1), so part [1] hangs from nothing
+        g = path(8)
+        lay = build_layering(g, 0)
+        tree = capped_tree(g, lay, 0, 2)
+        with pytest.raises(LayeringInvariantError,
+                           match=r"^part \[1\] at layer 1 has no neighbor one layer up$"):
+            tree.append_layer(1, {1: 1}, lay, Graph(8, [(1, 2)]))
 
     def test_truncation_equivalence_from_real_prefixes(self):
         rng = random.Random(3)

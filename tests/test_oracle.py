@@ -670,6 +670,31 @@ class TestSimulatorWork:
             tracemalloc.stop()
         assert kept <= 8 * o.ledger.distinct_queries
 
+    @pytest.mark.parametrize("family,n,delta,k,entries,visits", [
+        ("random-tree", 2048, 4, None, 14146, 16736),
+        ("ktree", 1024, 8, 2, 11080, 14820),
+        ("caterpillar", 2048, 4, None, 18805, 21517),
+    ])
+    def test_labels_stay_lean(self, family, n, delta, k, entries, visits):
+        # bytes the labels retain per entry: a hub -> distance dict per
+        # vertex held 47 to 54; a hub tuple and a distance tuple per vertex,
+        # with the held hub array, 28 to 35. The build itself is unchanged:
+        # the same entries from the same pruned BFSs
+        hidden, _ = generate(FamilySpec(family=family, n=n, max_degree=delta, k=k, seed=0))
+        o = DistanceOracle(hidden)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            labels = o._build_labels()
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert labels
+        assert (o.stats.label_entries, o.stats.label_visits) == (entries, visits)
+        assert kept <= 40 * entries
+
 
 class TestBudget:
     """Strict runs compare the oracle's per-phase ledger with each budget."""

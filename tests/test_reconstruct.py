@@ -15,6 +15,7 @@ from sprec import (
     RING_OF_CLIQUES,
     ReconstructionConfig,
     ReconstructionError,
+    bfs_distances,
     build_layering,
     build_layering_tree,
     generate,
@@ -444,6 +445,21 @@ class TestBudgets:
         cfg = ReconstructionConfig(tau=1, strict_budget=True, max_degree=1)
         with pytest.raises(BudgetExceeded, match="^bootstrap charged 6 queries, limit 1$"):
             reconstruct(DistanceOracle(path(8)), cfg)
+
+    def test_root_scan_that_charges_nothing_raises(self):
+        class Uncharged(DistanceOracle):
+            def batch_distances_from(self, s, targets, phase):
+                if phase is not QueryPhase.ROOT_BFS:
+                    return super().batch_distances_from(s, targets, phase)
+                dist = bfs_distances(self.hidden, s)
+                return {t: dist[t] for t in targets}
+
+        o = Uncharged(path(8))
+        cfg = ReconstructionConfig(tau=1, strict_budget=True, max_degree=2)
+        with pytest.raises(BudgetExceeded,
+                           match="^root scan charged 0 queries, expected exactly 7$"):
+            reconstruct(o, cfg)
+        assert o.ledger.distinct_queries == o.ledger.raw_calls == 0
 
     def test_trace_totals_match_ledger(self):
         g, _ = generate(FamilySpec(RANDOM_TREE, 150, 4, seed=5))
