@@ -3,13 +3,11 @@
 The oracle answers d(u, v) exactly and charges one distinct-query credit per
 unordered pair, no matter how often the pair is re-asked. Every charged query
 is attributed to a phase so budgets can be checked per algorithm stage.
-The ledger records which pairs were charged, not their distances: one array
-of partner ids per vertex, each pair at both ends, 16-bit ids up to n=65,536
-and 32-bit above, about 7 bytes retained per charged pair on a 2-tree at
-n=1024. A re-asked pair is answered again by the hidden side, uncharged. A
-single query scans the shorter of its two rows for the other endpoint, so
-it costs O(shorter row); a batch from s costs O(|partners[s]|) on top of its
-ball.
+The ledger records which pairs were charged, not their distances, at both
+ends: a vertex's partner ids (16-bit up to n=65,536) until they outweigh a
+bitmap of n bits, then that bitmap, as Roaring bitmaps switch (Chambi et al.,
+SPE 2016); about 2.2 bytes per charged pair on a 2-tree at n=1024. A query
+tests a bit of a bitmap end or scans the shorter of two arrays.
 
 The hidden side answers in two ways. A batch (one source, many targets)
 grows a BFS ball from its source, level by level, only until it holds every
@@ -119,8 +117,8 @@ class OracleStats:
 class DistanceOracle:
     """Simulates shortest-path distance queries against a hidden graph.
 
-    The ledger keeps each charged pair as a partner id at both ends, not its
-    distance, and the hidden side never builds an all-pairs table; the
+    The ledger keeps each charged pair at both ends, as an id or a bit, not
+    its distance, and the hidden side never builds an all-pairs table; the
     module docstring gives their costs. batch_distances_from(s, ...) has the
     ledger, log and answers of query(s, t) per target, charged in one pass.
     query(u, v) reads the label of an end that is not held, holding v if
@@ -141,10 +139,12 @@ class DistanceOracle:
         self.hidden = hidden
         self.n = hidden.n
         self.ledger = QueryLedger(log=[] if log_queries else None)
-        # charged pairs: row u holds every partner of u, in charging order;
-        # built at the first pair asked, 16-bit ids while they fit
-        self._partners: list[array] | None = None
+        # charged pairs, built at the first pair asked: row u holds u's
+        # partner ids in charging order, up to _dense of them, past which a
+        # bitmap of n bits is smaller; then that bitmap, u's own bit set too
+        self._partners: list[array | bytearray] | None = None
         self._id_code = "H" if self.n <= 1 << 16 else "i"
+        self._dense = (self.n + 7 >> 3) // array(self._id_code).itemsize
         self._labels: list[list[tuple[int, ...]]] | None = None  # [hubs, dists]
         self._via: list[int] = []  # the held hub array, built with the labels
         self._held = -1  # the vertex it holds, none until a query
@@ -174,11 +174,26 @@ class DistanceOracle:
         if partners is None:
             partners = self._partners = [array(self._id_code) for _ in range(n)]
         pu, pv = partners[u], partners[v]
-        if (v in pu) if len(pu) <= len(pv) else (u in pv):
-            return self._distance(u, v)  # answered again, uncharged
-        d = self._distance(u, v)
-        pu.append(v)
-        pv.append(u)
+        lu, lv, dense = len(pu), len(pv), self._dense  # a bitmap is longer
+        if lu < dense > lv:  # two arrays that stay arrays: scan the shorter
+            if (v in pu) if lu <= lv else (u in pv):
+                return self._distance(u, v)  # answered again, uncharged
+            d = self._distance(u, v)
+            pu.append(v)
+            pv.append(u)
+        elif lu > dense > lv:  # a bitmap at u, an array at v: most (w, x) asked
+            if pu[v >> 3] >> (v & 7) & 1:
+                return self._distance(u, v)
+            d = self._distance(u, v)
+            pu[v >> 3] |= 1 << (v & 7)
+            pv.append(u)
+        else:  # a bitmap at v, two bitmaps, or an array about to be one
+            if (pu[v >> 3] >> (v & 7) & 1 if lu > dense else pv[u >> 3] >> (u & 7) & 1
+                    if lv > dense else (v in pu) if lu <= lv else (u in pv)):
+                return self._distance(u, v)
+            d = self._distance(u, v)
+            self._add(u, (v,))
+            self._add(v, (u,))
         ledger.distinct_queries += 1
         ledger.per_phase[phase] += 1
         if ledger.log is not None:
@@ -228,14 +243,23 @@ class DistanceOracle:
         partners = self._partners
         if partners is None:
             partners = self._partners = [array(self._id_code) for _ in range(n)]
-        row = partners[s]
-        charged = set(row)
-        charged.add(s)
-        want = [t for t in out if t not in charged]
+        row, dense = partners[s], self._dense
+        if type(row) is bytearray:
+            want = [t for t in out if not row[t >> 3] >> (t & 7) & 1]
+        else:
+            charged = {s, *row}
+            want = [t for t in out if t not in charged]
         if want:
-            row.extend(want)
+            self._add(s, want)
+            byte, bit = s >> 3, 1 << (s & 7)
             for t in want:
-                partners[t].append(s)
+                pt = partners[t]
+                if len(pt) < dense:
+                    pt.append(s)
+                elif type(pt) is bytearray:
+                    pt[byte] |= bit
+                else:
+                    self._add(t, (s,))
             if ledger.log is not None:
                 value = phase.value
                 ledger.log.extend([(s, t, out[t], value) for t in want])
@@ -249,6 +273,22 @@ class DistanceOracle:
             raise ValueError("oracle was created with log_queries=False")
         for u, v, d, phase in self.ledger.log:
             out.write(f"{u},{v},{d},{phase}\n")
+
+    def _add(self, u: int, ids: Iterable[int]) -> None:
+        """Adds partners to u's row; past _dense ids an array turns into a bitmap
+        of n bits (bit t & 7 of byte t >> 3), u's own bit set so batches skip u."""
+        row = self._partners[u]
+        if type(row) is bytearray:
+            for t in ids:
+                row[t >> 3] |= 1 << (t & 7)
+            return
+        row.extend(ids)
+        if len(row) > self._dense:
+            digits = bytearray(b"0") * self.n  # binary, least significant first
+            for t in (*row, u):
+                digits[t] = 49  # "1"
+            bits = int(digits[::-1], 2).to_bytes(len(digits) + 7 >> 3, "little")
+            self._partners[u] = bytearray(bits)
 
     # -- hidden-side distance computation ---------------------------------
 
