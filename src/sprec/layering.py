@@ -15,7 +15,7 @@ layers they share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .graph import GraphLike, UNREACHABLE, bfs_distances
 
@@ -63,13 +63,14 @@ def layering_from_depths(root: int, depth: Sequence[int]) -> Layering:
         raise ValueError(f"root {root} out of range for n={n}")
     if depth[root] != 0:
         raise ValueError("root must have depth 0")
-    max_depth = max(depth)
-    buckets: list[list[int]] = [[] for _ in range(max_depth + 1)]
+    # n vertices fill at most layers 0..n-1, so a depth of n or more leaves a
+    # layer below it empty: n + 1 buckets find that layer.
+    buckets: list[list[int]] = [[] for _ in range(min(max(depth), n) + 1)]
     for v in range(n):
         d = depth[v]
         if d < 0:
             raise ValueError(f"vertex {v} unreachable from root")
-        buckets[d].append(v)
+        buckets[min(d, n)].append(v)
     for j, bucket in enumerate(buckets):
         if not bucket:
             raise ValueError(f"empty layer {j} below the deepest layer")
@@ -101,22 +102,18 @@ class LayeringTree:
     the capped-layer parts below each part that pass visits.
     """
 
-    __slots__ = ("parts", "parent", "children", "vertex_to_part", "layer_parts", "cap",
-                 "size", "jump", "caps")
+    __slots__ = ("parts", "parent", "children", "vertex_to_part", "cap", "size", "jump",
+                 "caps")
 
     def __init__(self, n: int):
         self.parts: list[Part] = []
         self.parent: list[int] = []
         self.children: list[list[int]] = []
         self.vertex_to_part: list[int] = [-1] * n
-        self.layer_parts: list[list[int]] = []
         self.cap = -1
         self.size: list[int] = []
         self.jump: list[int] = []
         self.caps: dict[int, tuple[int, int]] = {}
-
-    def parts_at(self, layer: int) -> list[int]:
-        return self.layer_parts[layer]
 
     def is_under(self, pid: int, top: int) -> bool:
         """Whether part pid lies in the subtree rooted at part top."""
@@ -139,8 +136,9 @@ class LayeringTree:
         labels: dict[int, int],
         layering: Layering,
         prefix_graph: GraphLike,
-    ) -> None:
-        """Add the parts of layer k, grouping that layer by component label.
+    ) -> dict[int, int]:
+        """Add the parts of layer k, grouping that layer by component label;
+        return {label: part id} for the new parts, in id order.
 
         `labels` must cover every vertex of layer k (a components_masked pass
         over a window of layers starting at k).
@@ -150,12 +148,12 @@ class LayeringTree:
         groups: dict[int, list[int]] = {}
         for v in layering.layers[k]:
             groups.setdefault(labels[v], []).append(v)
-        new_ids: list[int] = []
+        new_ids: dict[int, int] = {}
         depth = layering.depth
         adj = prefix_graph.adj
         # Ascending iteration over the layer makes group insertion order equal
         # to min-vertex order, matching the global id assignment rule.
-        for vs in groups.values():
+        for label, vs in groups.items():
             pid = len(self.parts)
             self.parts.append(Part(k, tuple(vs)))
             self.children.append([])
@@ -179,10 +177,10 @@ class LayeringTree:
             self._add_leaf(pid)
             for u in vs:
                 self.vertex_to_part[u] = pid
-            new_ids.append(pid)
-        self._count_layer(new_ids)
-        self.layer_parts.append(new_ids)
+            new_ids[label] = pid
+        self._count_layer(new_ids.values())
         self.cap = k
+        return new_ids
 
     def _add_leaf(self, pid: int) -> None:
         """Set the jump pointer and the size of new leaf pid."""
@@ -197,7 +195,7 @@ class LayeringTree:
             jump.append(jump[j] if even else p)
         self.size.append(1)
 
-    def _count_layer(self, new_ids: list[int]) -> None:
+    def _count_layer(self, new_ids: Collection[int]) -> None:
         """Count the new leaves in every ancestor, in one upward pass: counts
         merge one layer at a time while the ancestors differ, then one walk
         covers the single chain left above them."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import (
-    Graph, GraphBuilder, GraphLike, as_integer, components_masked, neighbors_of_set,
+    Graph, GraphBuilder, GraphLike, UNREACHABLE, as_integer, components_masked, neighbors_of_set,
 )
 from .layering import (
     InvariantViolation,
@@ -32,10 +32,6 @@ from .oracle import DistanceOracle, QueryLedger, QueryPhase
 
 class BudgetExceeded(ReconstructionError):
     """A query-budget assertion failed under strict accounting."""
-
-
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length() if n >= 1 else 0
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,9 @@ class _AncestorSearch:
 def _grow_tree(
     tree: LayeringTree, layering: Layering, prefix_graph: GraphLike, k: int, ell: int
 ) -> dict[int, int]:
-    """Append the parts of layer k to the capped tree; return the window labels.
+    """Append the parts of layer k to the capped tree; return the layer-k part
+    of each vertex of the window k..k+ell+1, or -1 where its window component
+    never reaches layer k.
 
     Vertices that share a part at layer k are already connected inside the
     known layers k..k+ell+1 when ell bounds the part diameter, so the masked
@@ -243,8 +241,8 @@ def _grow_tree(
     """
     window = [v for layer in layering.layers[k : k + ell + 2] for v in layer]
     labels = components_masked(prefix_graph, window)
-    tree.append_layer(k, labels, layering, prefix_graph)
-    return labels
+    part_of_label = tree.append_layer(k, labels, layering, prefix_graph)
+    return {v: part_of_label.get(label, -1) for v, label in labels.items()}
 
 
 def _extend_layer(
@@ -265,32 +263,30 @@ def _extend_layer(
     """
     k = i - ell - 2
     tree = search.tree
-    labels = _grow_tree(tree, layering, builder, k, ell)
-    part_limit = max_degree ** (ell + 1) if max_degree is not None else None
-    label_to_part: dict[int, int] = {}
-    for pid in tree.parts_at(k):
-        vs = tree.parts[pid].vertices
-        if part_limit is not None and len(vs) > part_limit:
-            raise InvariantViolation(
-                f"part at layer {k} has {len(vs)} vertices, above the bound "
-                f"{part_limit}; the diameter bound is likely too small"
-            )
-        label_to_part[labels[vs[0]]] = pid
-    # Each part holds one window component's layer-k vertices, so a further
-    # label is a component of layers k..i-1 that never reaches layer k.
-    if len(set(labels.values())) > len(label_to_part):
+    part_of = _grow_tree(tree, layering, builder, k, ell)
+    layers = layering.layers
+    if max_degree is not None:
+        part_limit = max_degree ** (ell + 1)
+        # Ascending vertices meet the parts in id order.
+        for v in layers[k]:
+            size = len(tree.parts[part_of[v]].vertices)
+            if size > part_limit:
+                raise InvariantViolation(
+                    f"part at layer {k} has {size} vertices, above the bound "
+                    f"{part_limit}; the diameter bound is likely too small"
+                )
+    if -1 in part_of.values():
         raise InvariantViolation(
             "a prefix vertex is disconnected from every capped-layer part"
         )
-    layers = layering.layers
     n = len(layering.depth)
     prev_by_part: dict[int, list[int]] = {}
     for u in layers[i - 1]:
-        prev_by_part.setdefault(label_to_part[labels[u]], []).append(u)
+        prev_by_part.setdefault(part_of[u], []).append(u)
 
     ledger = oracle.ledger
     anc_limit = (
-        max_degree ** (ell + 2) * _ceil_log2(n) if max_degree is not None else None
+        max_degree ** (ell + 2) * (n - 1).bit_length() if max_degree is not None else None
     )
     anc_before = ledger.distinct_queries
     max_call = 0
@@ -383,7 +379,8 @@ def reconstruct(
             f"root scan charged {oracle.ledger.per_phase[QueryPhase.ROOT_BFS]} "
             f"queries, expected exactly {n - 1}"
         )
-    depth = [0] * n
+    depth = [UNREACHABLE] * n
+    depth[root] = 0
     for v, d in depth_map.items():
         depth[v] = d
     layering = layering_from_depths(root, depth)

@@ -96,7 +96,7 @@ class ReferenceSearch:
     def _rebuild(self) -> None:
         tree = self.tree
         self.cap = tree.cap
-        cap_parts = tree.parts_at(self.cap)
+        cap_parts = [pid for pid, p in enumerate(tree.parts) if p.layer == self.cap]
         self._root = _SearchNode(
             set(range(len(tree.parts))),
             len(cap_parts),

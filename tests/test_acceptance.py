@@ -180,17 +180,15 @@ def _check_structure_suite(g: Graph, oracle: DistanceOracle) -> tuple[int, int]:
 
         alive = {v for v in range(n) if depth[v] >= k}
         labels = brute_components(g, alive)
-        label_of_part = {
-            pid2: labels[full.parts[pid2].vertices[0]]
-            for pid2 in full.layer_parts[k]
-        }
+        layer_k = [pid2 for pid2, p in enumerate(full.parts) if p.layer == k]
+        label_of_part = {pid2: labels[full.parts[pid2].vertices[0]] for pid2 in layer_k}
 
         # comp sizes obey the degree-growth bound for every usable horizon
         by_label_depth: dict[int, dict[int, int]] = {}
         for v in alive:
             by_label_depth.setdefault(labels[v], {}).setdefault(depth[v], 0)
             by_label_depth[labels[v]][depth[v]] += 1
-        for pid2 in full.layer_parts[k]:
+        for pid2 in layer_k:
             lbl = label_of_part[pid2]
             counts = by_label_depth[lbl]
             running = 0

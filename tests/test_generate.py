@@ -148,6 +148,12 @@ class TestKTree:
         with pytest.raises(InfeasibleSpecError, match="^no attachable clique respects the degree cap$"):
             generate(FamilySpec(KTREE, 50, 3, k=2))
 
+    def test_no_attachable_clique_with_headroom(self):
+        # 4k headroom does not make every draw feasible: this one paints
+        # itself into a corner.
+        with pytest.raises(InfeasibleSpecError, match="^no attachable clique respects the degree cap$"):
+            generate(FamilySpec(KTREE, 14, 12, k=3, seed=561859655))
+
 
 class TestRingOfCliques:
     def test_c6_is_a_plain_cycle(self):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -71,6 +72,16 @@ class TestLayering:
     def test_from_depths_rejects_gap(self):
         with pytest.raises(ValueError, match="empty layer"):
             layering_from_depths(0, [0, 2])
+
+    def test_from_depths_past_n_allocates_no_layer_per_depth(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^empty layer 2 below the deepest layer$"):
+                layering_from_depths(0, [0, 1, 10**6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
 
 
 class TestLayeringTree:
@@ -323,22 +334,18 @@ class TestCentroid:
 
 
 class TestCompAndAnc:
-    """Capped-layer ancestors: by window labels above layer i, by search at i."""
-
-    @staticmethod
-    def label_anc(tree, labels, u):
-        by_label = {labels[tree.parts[pid].vertices[0]]: pid for pid in tree.parts_at(tree.cap)}
-        return by_label[labels[u]]
+    """Capped-layer ancestors: by the window's part map above layer i, by
+    search at i."""
 
     def test_anc_at_cap_is_own_part(self):
         tree = capped_tree(C6, C6_LAY, 0, 2)
-        labels = _grow_tree(tree, C6_LAY, C6, 1, 2)
-        assert self.label_anc(tree, labels, 5) == tree.vertex_to_part[5]
+        part_of = _grow_tree(tree, C6_LAY, C6, 1, 2)
+        assert part_of[5] == tree.vertex_to_part[5]
 
     def test_anc_c6_vertex_three(self):
         tree = capped_tree(C6, C6_LAY, 0, 2)
-        labels = _grow_tree(tree, C6_LAY, C6, 1, 2)
-        assert tree.parts[self.label_anc(tree, labels, 3)].vertices == (1, 5)
+        part_of = _grow_tree(tree, C6_LAY, C6, 1, 2)
+        assert tree.parts[part_of[3]].vertices == (1, 5)
 
     def test_anc_path_chain(self):
         g = path(5)
@@ -357,12 +364,12 @@ class TestCompAndAnc:
             ell = tree_length(g, full)
             tree = LayeringTree(n)
             for k in range(0, max(0, lay.num_layers - ell - 2)):
-                labels = _grow_tree(tree, lay, g, k, ell)
+                part_of = _grow_tree(tree, lay, g, k, ell)
                 alive = {v for v in range(n) if lay.depth[v] >= k}
                 brute = brute_components(g, alive)
                 for u in range(n):
                     if k <= lay.depth[u] < k + ell + 2:
-                        pid = self.label_anc(tree, labels, u)
+                        pid = part_of[u]
                         assert brute[tree.parts[pid].vertices[0]] == brute[u]
 
 

@@ -330,10 +330,31 @@ class LosesVertexSeven(DistanceOracle):
         return -1 if phase is QueryPhase.ROOT_BFS and v == 7 else d
 
 
+class LeavesOutVertexSeven(DistanceOracle):
+    """Charges every root-scan pair but leaves vertex 7 out of the answers."""
+
+    def batch_distances_from(self, s, targets, phase):
+        out = super().batch_distances_from(s, targets, phase)
+        if phase is QueryPhase.ROOT_BFS:
+            del out[7]
+        return out
+
+
+class PutsSevenFarPastN(DistanceOracle):
+    """Answers the root scan's query for vertex 7 with 10**6, far past any
+    depth of an n=8 graph."""
+
+    def query(self, u, v, phase):
+        d = super().query(u, v, phase)
+        return 10**6 if phase is QueryPhase.ROOT_BFS and v == 7 else d
+
+
 class TestReconstruct:
     @pytest.mark.parametrize("oracle_type, message", [
         (SkipsDepthTwo, "empty layer 2 below the deepest layer"),
         (LosesVertexSeven, "vertex 7 unreachable from root"),
+        (LeavesOutVertexSeven, "vertex 7 unreachable from root"),
+        (PutsSevenFarPastN, "empty layer 7 below the deepest layer"),
     ])
     def test_root_scan_off_the_protocol_raises_before_bootstrap(self, oracle_type, message):
         oracle = oracle_type(path(8))
