@@ -8,7 +8,6 @@ algorithms that discover edges incrementally.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from operator import index
 from typing import Iterable, Iterator
@@ -56,25 +55,12 @@ class Graph:
     def m(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[self._vertex(v)])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):
             for v in self.adj[u]:
                 if v > u:
                     yield (u, v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.adj[self._vertex(u)]
-        i = bisect_left(a, self._vertex(v))
-        return i < len(a) and a[i] == v
-
-    def _vertex(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -15,6 +15,7 @@ layers they share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Collection, Sequence
 
 from .graph import GraphLike, UNREACHABLE, bfs_distances
@@ -61,6 +62,11 @@ def layering_from_depths(root: int, depth: Sequence[int]) -> Layering:
     n = len(depth)
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range for n={n}")
+    for v, d in enumerate(depth):
+        try:
+            index(d)
+        except TypeError:
+            raise ValueError(f"vertex {v} at non-integer depth {d!r}") from None
     if depth[root] != 0:
         raise ValueError("root must have depth 0")
     # n vertices fill at most layers 0..n-1, so a depth of n or more leaves a
@@ -97,9 +103,9 @@ class LayeringTree:
     Growth keeps, per part, the number of parts in its subtree (`size`) and
     a skew-binary jump pointer (Myers, 1983), so subtree sizes are O(1)
     reads and level ancestors take O(log n) steps. Each appended layer
-    updates the sizes in one pass up the tree, which visits every ancestor
-    of the new parts once, and rebuilds `caps`: the number and id sum of
-    the capped-layer parts below each part that pass visits.
+    updates the sizes in one pass up the tree, which visits the new parts
+    and each of their ancestors once, and rebuilds `caps`: the number and id
+    sum of the capped-layer parts in the subtree of each part it visits.
     """
 
     __slots__ = ("parts", "parent", "children", "vertex_to_part", "cap", "size", "jump",
@@ -123,10 +129,6 @@ class LayeringTree:
             j = jump[pid]
             pid = j if parts[j].layer >= layer else self.parent[pid]
         return pid == top
-
-    def caps_below(self, pid: int) -> tuple[int, int]:
-        """(count, id sum) of the capped-layer parts in pid's subtree."""
-        return self.caps.get(pid, (0, 0))
 
     # -- growth ------------------------------------------------------------
 
@@ -183,7 +185,7 @@ class LayeringTree:
         return new_ids
 
     def _add_leaf(self, pid: int) -> None:
-        """Set the jump pointer and the size of new leaf pid."""
+        """Set the jump pointer of new leaf pid, and a size of 0 for _count_layer."""
         parent, jump, parts = self.parent, self.jump, self.parts
         p = parent[pid]
         if p < 0:
@@ -193,21 +195,15 @@ class LayeringTree:
             mid = parts[j].layer
             even = parts[p].layer - mid == mid - parts[jump[j]].layer
             jump.append(jump[j] if even else p)
-        self.size.append(1)
+        self.size.append(0)
 
     def _count_layer(self, new_ids: Collection[int]) -> None:
-        """Count the new leaves in every ancestor, in one upward pass: counts
-        merge one layer at a time while the ancestors differ, then one walk
-        covers the single chain left above them."""
+        """Count the new leaves in themselves and every ancestor, in one
+        upward pass: counts merge one layer at a time from the leaves while
+        the parts differ, then one walk covers the single chain left above."""
         parent, size = self.parent, self.size
-        caps = self.caps = {pid: (1, pid) for pid in new_ids}
-        up: dict[int, list[int]] = {}  # ancestor -> [new leaves below, their id sum]
-        for pid in new_ids:
-            p = parent[pid]
-            if p >= 0:
-                acc = up.setdefault(p, [0, 0])
-                acc[0] += 1
-                acc[1] += pid
+        caps = self.caps = {}
+        up = {pid: [1, pid] for pid in new_ids}  # part -> [new leaves below, their id sum]
         while len(up) > 1:  # layer 0 has one part, so these have parents
             nxt: dict[int, list[int]] = {}
             for p, (c, t) in up.items():

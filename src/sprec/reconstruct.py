@@ -184,9 +184,9 @@ class _AncestorSearch:
         tree = self.tree
         node.layer = tree.cap
         size = tree.size[node.top]
-        count, total = tree.caps_below(node.top)
+        count, total = tree.caps.get(node.top, (0, 0))
         for r in node.excluded:
-            c, t = tree.caps_below(r)
+            c, t = tree.caps.get(r, (0, 0))
             size -= tree.size[r]
             count -= c
             total -= t

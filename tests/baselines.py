@@ -91,7 +91,7 @@ def verify_family_invariants(g: Graph, spec: FamilySpec) -> list[str]:
         if g.m != g.n - 1:
             violations.append(f"tree family has {g.m} edges, expected {g.n - 1}")
         if fam == CATERPILLAR and g.n >= 2 and g.m == g.n - 1:
-            leaves = {v for v in range(g.n) if g.degree(v) == 1}
+            leaves = {v for v in range(g.n) if len(g.adj[v]) == 1}
             spine = [v for v in range(g.n) if v not in leaves]
             if spine:
                 spine_set = set(spine)
@@ -108,7 +108,7 @@ def verify_family_invariants(g: Graph, spec: FamilySpec) -> list[str]:
         if not is_chordal(g):
             violations.append("ktree instance is not chordal")
     elif fam == CYCLE:
-        if g.m != g.n or any(g.degree(v) != 2 for v in range(g.n)):
+        if g.m != g.n or any(len(a) != 2 for a in g.adj):
             violations.append("cycle instance is not 2-regular")
     elif fam == RING_OF_CLIQUES:
         c = spec.clique_size or 0
@@ -118,7 +118,7 @@ def verify_family_invariants(g: Graph, spec: FamilySpec) -> list[str]:
                 block = list(range(j * c, (j + 1) * c))
                 for ui, u in enumerate(block):
                     for v in block[ui + 1 :]:
-                        if not g.has_edge(u, v):
+                        if v not in g.adj[u]:
                             violations.append(f"missing clique edge ({u},{v})")
             if m <= 2 and not is_chordal(g):
                 violations.append("small clique ring should be chordal")

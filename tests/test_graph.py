@@ -56,21 +56,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match=rf"^duplicate edge \({pair}\)$"):
             Graph(5, edges)
 
-    @pytest.mark.parametrize("u, v", [(-1, 2), (9, 1), (1, -1), (1, 4)])
-    def test_has_edge_rejects_out_of_range(self, u, v):
-        with pytest.raises(ValueError, match="out of range for n=4"):
-            path(4).has_edge(u, v)
-
-    @pytest.mark.parametrize("v", [-1, 4])
-    def test_degree_rejects_out_of_range(self, v):
-        with pytest.raises(ValueError, match="out of range for n=4"):
-            path(4).degree(v)
-
-    def test_in_range_queries(self):
-        g = path(4)
-        assert g.has_edge(2, 1) and not g.has_edge(0, 3)
-        assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]
-
     def test_builder_round_trip(self):
         b = GraphBuilder(4)
         b.add_edge(2, 0)

@@ -155,7 +155,7 @@ class TestLayeringTree:
                         caps[p][1] += q
                     p = tree.parent[p]
             assert tree.size == size
-            assert [list(tree.caps_below(p)) for p in range(len(tree.parts))] == caps
+            assert [list(tree.caps.get(p, (0, 0))) for p in range(len(tree.parts))] == caps
 
 
 class TestTreeLength:

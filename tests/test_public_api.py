@@ -59,7 +59,9 @@ NOT_EXPORTED = [
     "UNREACHABLE",
 ]
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPO = Path(__file__).resolve().parents[1]
+PERFBENCH = REPO / "perfbench"
+SRC = REPO / "src" / "sprec"
 
 
 def test_all_is_pinned():
@@ -92,3 +94,30 @@ def test_one_hierarchy_for_structural_breaches():
     assert issubclass(sprec.InvariantViolation, sprec.ReconstructionError)
     assert issubclass(sprec.BudgetExceeded, sprec.ReconstructionError)
     assert not issubclass(sprec.PartialTreeError, sprec.ReconstructionError)
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    """Each public module-level function is read as a name or attribute, and
+    each public method as an attribute, in the package or perfbench's
+    harness. A read of the name on any object counts, so this catches only
+    names that nothing outside the tests reads at all."""
+    package = [ast.parse(p.read_text()) for p in SRC.glob("*.py")]
+    harness = [ast.parse(p.read_text()) for p in PERFBENCH.glob("*.py")]
+    names, attrs = set(), set()
+    for node in (node for tree in package + harness for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+    uncalled = []
+    for node in (node for tree in package for node in tree.body):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if node.name not in names | attrs:
+                uncalled.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            uncalled += [
+                f"{node.name}.{f.name}" for f in node.body
+                if isinstance(f, ast.FunctionDef)
+                and not f.name.startswith("_") and f.name not in attrs
+            ]
+    assert uncalled == []

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import sprec.oracle as oracle_module
 from sprec import (
+    BOUNDED_DEGREE_CONNECTED,
     BudgetExceeded,
     CATERPILLAR,
     DistanceOracle,
@@ -349,12 +351,31 @@ class PutsSevenFarPastN(DistanceOracle):
         return 10**6 if phase is QueryPhase.ROOT_BFS and v == 7 else d
 
 
+class PutsSevenAtAFraction(DistanceOracle):
+    """Answers the root scan's query for vertex 7 with 7.5."""
+
+    def query(self, u, v, phase):
+        d = super().query(u, v, phase)
+        return 7.5 if phase is QueryPhase.ROOT_BFS and v == 7 else d
+
+
+class PutsThreeAtAFraction(DistanceOracle):
+    """Answers the root scan's query for vertex 3 with 3.5, within the
+    depths of an n=8 graph."""
+
+    def query(self, u, v, phase):
+        d = super().query(u, v, phase)
+        return 3.5 if phase is QueryPhase.ROOT_BFS and v == 3 else d
+
+
 class TestReconstruct:
     @pytest.mark.parametrize("oracle_type, message", [
         (SkipsDepthTwo, "empty layer 2 below the deepest layer"),
         (LosesVertexSeven, "vertex 7 unreachable from root"),
         (LeavesOutVertexSeven, "vertex 7 unreachable from root"),
         (PutsSevenFarPastN, "empty layer 7 below the deepest layer"),
+        (PutsSevenAtAFraction, r"vertex 7 at non-integer depth 7\.5"),
+        (PutsThreeAtAFraction, r"vertex 3 at non-integer depth 3\.5"),
     ])
     def test_root_scan_off_the_protocol_raises_before_bootstrap(self, oracle_type, message):
         oracle = oracle_type(path(8))
@@ -428,6 +449,35 @@ class TestReconstruct:
         assert runs[0].ledger.distinct_queries == runs[1].ledger.distinct_queries
         assert runs[0].ledger.per_phase == runs[1].ledger.per_phase
         assert runs[0].trace == runs[1].trace
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_labels_over_budget_answer_from_rows(self, monkeypatch, seed):
+        # tau=1 keeps the bootstrap below all-pairs on this family, whose
+        # labels outgrow 4 n ceil(log2 n) entries, so single queries read rows
+        g, _ = generate(FamilySpec(BOUNDED_DEGREE_CONNECTED, 512, 4, seed=seed))
+        cfg = ReconstructionConfig(tau=1, max_degree=4)
+
+        def run():
+            o = DistanceOracle(g, log_queries=True)
+            try:
+                out = reconstruct(o, cfg).graph.adj
+            except ReconstructionError as e:
+                out = (type(e), str(e))
+            led = o.ledger
+            return o.stats, (led.distinct_queries, led.raw_calls, led.per_phase, led.log, out)
+
+        stats, result = run()
+        assert stats.label_entries > 4 * g.n * ceil_log2(g.n)
+        assert stats.fallback_rows > 0
+        rows = {}
+        for u, v, d, _ in result[3]:
+            if u not in rows:
+                rows[u] = bfs_distances(g, u)
+            assert d == rows[u][v]
+        monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", 4 * 4 * g.n)  # four rows
+        stats, rerun = run()
+        assert stats.evicted > 0
+        assert rerun == result
 
 
 class TestBudgets:
