@@ -188,9 +188,8 @@ def _family_spec(args: argparse.Namespace, n: int, seed: int) -> FamilySpec:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     with _staged_outputs(args.out) as files:
-        graph, meta = generate(_family_spec(args, args.n, args.seed))
+        graph, tl = generate(_family_spec(args, args.n, args.seed))
         files.pop(args.out).write(write_edge_list(graph))
-    tl = meta["tl_bound"]
     print(
         f"generated {args.family} n={graph.n} m={graph.m} "
         f"delta={max_degree(graph)} seed={args.seed} "
@@ -204,7 +203,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     with _staged_outputs(args.log_queries, args.out) as files:
         try:
             # a disconnected or empty graph fails here with a ValueError
-            ell = _ell_from_truth(hidden) if args.ell_from_truth else args.ell
+            ell = _ell_from_truth(hidden) if args.ell_from_truth else None
             record, oracle = run_one(
                 hidden,
                 family="file",
@@ -309,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "reconstruct", parents=[bound], help="reconstruct a graph file via queries"
     )
     p_rec.add_argument("graph", help="edge-list file of the hidden graph")
-    p_rec.add_argument("--ell", type=int, default=None, help="direct diameter bound")
     p_rec.add_argument("--log-queries", default=None, metavar="FILE")
     p_rec.add_argument("--out", default=None, help="write the reconstruction here")
     p_rec.set_defaults(func=cmd_reconstruct)

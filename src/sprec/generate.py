@@ -2,10 +2,10 @@
 
 All randomness flows through SplitMix64, a fixed 64-bit counter-based
 generator, so a (family, parameters, seed) triple produces a bit-identical
-graph on every platform and run. Chordal families (trees, k-trees, small
-clique rings) carry a treelength bound of one in their metadata; the other
-families leave it unset and the harness measures the layering-tree length of
-the concrete instance instead.
+graph on every platform and run. generate returns each graph with its known
+treelength bound: one for the chordal families (trees, k-trees, small clique
+rings), None for the others, where the harness measures the layering-tree
+length of the concrete instance instead.
 
 Generation is a pure function of the spec; specs can be expanded in parallel.
 """
@@ -85,18 +85,10 @@ class FamilySpec:
             raise InfeasibleSpecError("max_degree must be nonnegative")
 
 
-def generate(spec: FamilySpec) -> tuple[Graph, dict]:
-    """Build the graph for a spec plus metadata (known treelength bound, if any)."""
+def generate(spec: FamilySpec) -> tuple[Graph, int | None]:
+    """Build the graph for a spec, with its known treelength bound or None."""
     spec.validate()
-    graph, tl_bound = _BUILDERS[spec.family](spec, SplitMix64(spec.seed))
-    meta = {
-        "family": spec.family,
-        "n": spec.n,
-        "max_degree": spec.max_degree,
-        "seed": spec.seed,
-        "tl_bound": tl_bound,
-    }
-    return graph, meta
+    return _BUILDERS[spec.family](spec, SplitMix64(spec.seed))
 
 
 def _require(cond: bool, message: str) -> None:

@@ -40,9 +40,9 @@ class LayeringInvariantError(InvariantViolation):
 
 @dataclass(frozen=True)
 class Layering:
-    """Root, per-vertex BFS depth, and layers as ascending id tuples."""
+    """Per-vertex BFS depth and layers as ascending id tuples; the root is
+    the one vertex at depth 0."""
 
-    root: int
     depth: tuple[int, ...]
     layers: tuple[tuple[int, ...], ...]
 
@@ -57,18 +57,18 @@ class Part:
     vertices: tuple[int, ...]
 
 
-def layering_from_depths(root: int, depth: Sequence[int]) -> Layering:
+def layering_from_depths(depth: Sequence[int]) -> Layering:
     """Build a Layering from an externally obtained depth map."""
     n = len(depth)
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} out of range for n={n}")
     for v, d in enumerate(depth):
         try:
             index(d)
         except TypeError:
             raise ValueError(f"vertex {v} at non-integer depth {d!r}") from None
-    if depth[root] != 0:
-        raise ValueError("root must have depth 0")
+    roots = [v for v, d in enumerate(depth) if d == 0]
+    if len(roots) != 1:
+        which = f"vertices {roots[0]} and {roots[1]} both" if roots else "no vertex"
+        raise ValueError(f"{which} at depth 0; a layering has one root")
     # n vertices fill at most layers 0..n-1, so a depth of n or more leaves a
     # layer below it empty: n + 1 buckets find that layer.
     buckets: list[list[int]] = [[] for _ in range(min(max(depth), n) + 1)]
@@ -80,18 +80,14 @@ def layering_from_depths(root: int, depth: Sequence[int]) -> Layering:
     for j, bucket in enumerate(buckets):
         if not bucket:
             raise ValueError(f"empty layer {j} below the deepest layer")
-    return Layering(
-        root=root,
-        depth=tuple(depth),
-        layers=tuple(tuple(b) for b in buckets),
-    )
+    return Layering(tuple(depth), tuple(tuple(b) for b in buckets))
 
 
 def build_layering(g: GraphLike, s: int) -> Layering:
     dist = bfs_distances(g, s)
     if UNREACHABLE in dist:
         raise ValueError("graph must be connected to build a layering")
-    return layering_from_depths(s, dist)
+    return layering_from_depths(dist)
 
 
 class LayeringTree:
@@ -265,11 +261,10 @@ def tree_length(g: GraphLike, tree: LayeringTree) -> int:
         vs = part.vertices
         if len(vs) < 2:
             continue
-        members = set(vs)
         for u in vs:
             dist = bfs_distances(g, u)
             for v in vs:
-                if v in members and dist[v] > best:
+                if dist[v] > best:
                     best = dist[v]
     return best
 

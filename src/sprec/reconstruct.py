@@ -86,7 +86,6 @@ class ReconstructionResult:
     ledger: QueryLedger
     trace: tuple[LayerTrace, ...]
     ell: int
-    root: int
 
 
 class _PivotNode:
@@ -370,20 +369,19 @@ def reconstruct(
     strict = cfg.strict_budget
     delta = cfg.max_degree
     n = oracle.n
-    root = 0
     fresh = oracle.ledger.raw_calls == 0
 
-    depth_map = oracle.batch_distances_from(root, range(1, n), QueryPhase.ROOT_BFS)
+    # The root is vertex 0: its scan fixes every depth, and so the layering.
+    depth_map = oracle.batch_distances_from(0, range(1, n), QueryPhase.ROOT_BFS)
     if strict and fresh and oracle.ledger.per_phase[QueryPhase.ROOT_BFS] != n - 1:
         raise BudgetExceeded(
             f"root scan charged {oracle.ledger.per_phase[QueryPhase.ROOT_BFS]} "
             f"queries, expected exactly {n - 1}"
         )
-    depth = [UNREACHABLE] * n
-    depth[root] = 0
+    depth = [0] + [UNREACHABLE] * (n - 1)
     for v, d in depth_map.items():
         depth[v] = d
-    layering = layering_from_depths(root, depth)
+    layering = layering_from_depths(depth)
 
     builder = GraphBuilder(n)
     hi = min(ell + 1, layering.num_layers - 1)
@@ -415,6 +413,5 @@ def reconstruct(
         ledger=oracle.ledger.snapshot(),
         trace=tuple(trace),
         ell=ell,
-        root=root,
     )
 

@@ -118,6 +118,14 @@ class TestReconstruct:
         assert exc.value.code == 2
         assert "argument --tau: expected a positive integer" in capsys.readouterr().err
 
+    def test_direct_bound_is_not_an_option(self, tmp_path):
+        # --ell-from-truth alone sets the bound from the input
+        src = tmp_path / "c6.edges"
+        write_graph(src, cycle(6))
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", str(src), "--ell", "3"])
+        assert exc.value.code == 2
+
     def test_query_log_dump(self, tmp_path):
         src = tmp_path / "p5.edges"
         log = tmp_path / "queries.csv"

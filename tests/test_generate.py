@@ -1,3 +1,5 @@
+import inspect
+import sys
 from dataclasses import replace
 
 import pytest
@@ -6,20 +8,24 @@ from sprec import (
     BOUNDED_DEGREE_CONNECTED,
     CATERPILLAR,
     CYCLE,
+    DistanceOracle,
     FamilySpec,
     Graph,
     InfeasibleSpecError,
     KTREE,
     RANDOM_TREE,
     RING_OF_CLIQUES,
+    ReconstructionConfig,
     build_layering,
     build_layering_tree,
     generate,
     graphs_equal,
     is_connected,
+    max_degree,
+    reconstruct,
     tree_length,
 )
-from sprec.generate import SplitMix64
+from sprec.generate import SplitMix64, _ktree
 
 from .baselines import (
     is_chordal,
@@ -63,10 +69,10 @@ class TestDeterminism:
         ],
     )
     def test_same_spec_same_graph(self, spec):
-        g1, m1 = generate(spec)
-        g2, m2 = generate(spec)
+        g1, b1 = generate(spec)
+        g2, b2 = generate(spec)
         assert graphs_equal(g1, g2)
-        assert m1 == m2
+        assert b1 == b2
 
     def test_different_seed_usually_differs(self):
         a, _ = generate(FamilySpec(RANDOM_TREE, 50, 4, seed=0))
@@ -104,11 +110,11 @@ class TestSpecValidation:
 class TestRandomTree:
     def test_degree_two_forces_a_path(self):
         for seed in range(10):
-            g, meta = generate(FamilySpec(RANDOM_TREE, 5, 2, seed=seed))
+            g, tl_bound = generate(FamilySpec(RANDOM_TREE, 5, 2, seed=seed))
             degs = sorted(map(len, g.adj))
             assert degs == [1, 1, 2, 2, 2]
             assert is_connected(g)
-            assert meta["tl_bound"] == 1
+            assert tl_bound == 1
 
     def test_respects_cap_and_connectivity(self):
         for seed in range(20):
@@ -125,10 +131,10 @@ class TestKTree:
     def test_chordal_with_expected_edges(self):
         for seed in range(12):
             spec = FamilySpec(KTREE, 48, 8, k=2, seed=seed)
-            g, meta = generate(spec)
+            g, tl_bound = generate(spec)
             assert verify_family_invariants(g, spec) == []
             assert perfect_elimination_ordering(g) is not None
-            assert meta["tl_bound"] == 1
+            assert tl_bound == 1
 
     def test_layering_length_at_most_three(self):
         for seed in range(12):
@@ -154,26 +160,58 @@ class TestKTree:
         with pytest.raises(InfeasibleSpecError, match="^no attachable clique respects the degree cap$"):
             generate(FamilySpec(KTREE, 14, 12, k=3, seed=561859655))
 
+    def test_first_fit_after_failed_draws_builds_a_valid_ktree(self):
+        # With a cap of 2 a 1-tree is a path, and only its two ends can take
+        # a vertex, so 64 random draws often all miss and the builder takes
+        # the first attachable clique instead. Line events of _ktree count
+        # the entries into that branch.
+        code = _ktree.__code__
+        lines, first = inspect.getsourcelines(_ktree)
+        branch = first + next(i for i, line in enumerate(lines) if "if chosen is None:" in line)
+        taken = 0
+        last = None
+
+        def on_line(frame, event, arg):
+            nonlocal taken, last
+            if event == "line":
+                if last == branch and frame.f_lineno == branch + 1:
+                    taken += 1
+                last = frame.f_lineno
+            return on_line
+
+        spec = FamilySpec(KTREE, 100, 2, k=1, seed=0)
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+        try:
+            g, _ = generate(spec)
+        finally:
+            sys.settrace(previous)
+        assert taken == 13
+        assert graphs_equal(generate(spec)[0], g)
+        assert verify_family_invariants(g, spec) == []
+        cfg = ReconstructionConfig(tau=1, strict_budget=True, max_degree=max_degree(g))
+        assert graphs_equal(reconstruct(DistanceOracle(g), cfg).graph, g)
+
 
 class TestRingOfCliques:
     def test_c6_is_a_plain_cycle(self):
-        g, meta = generate(FamilySpec(RING_OF_CLIQUES, 6, 2, clique_size=1, seed=0))
+        g, tl_bound = generate(FamilySpec(RING_OF_CLIQUES, 6, 2, clique_size=1, seed=0))
         assert graphs_equal(g, Graph(6, [(v, (v + 1) % 6) for v in range(6)]))
-        assert meta["tl_bound"] is None
+        assert tl_bound is None
         lay = build_layering(g, 0)
         assert tree_length(g, build_layering_tree(g, lay)) == 2
 
     def test_small_rings_are_chordal(self):
-        g1, m1 = generate(FamilySpec(RING_OF_CLIQUES, 4, 4, clique_size=4, seed=0))
-        g2, m2 = generate(FamilySpec(RING_OF_CLIQUES, 8, 5, clique_size=4, seed=0))
-        assert m1["tl_bound"] == 1 and m2["tl_bound"] == 1
+        g1, b1 = generate(FamilySpec(RING_OF_CLIQUES, 4, 4, clique_size=4, seed=0))
+        g2, b2 = generate(FamilySpec(RING_OF_CLIQUES, 8, 5, clique_size=4, seed=0))
+        assert b1 == 1 and b2 == 1
         assert is_chordal(g1) and is_chordal(g2)
 
     def test_blocks_and_ports(self):
         spec = FamilySpec(RING_OF_CLIQUES, 20, 5, clique_size=4, seed=0)
-        g, meta = generate(spec)
+        g, tl_bound = generate(spec)
         assert verify_family_invariants(g, spec) == []
-        assert meta["tl_bound"] is None
+        assert tl_bound is None
         assert g.m == 5 * 6 + 5
 
     def test_indivisible_rejected(self):
@@ -196,9 +234,9 @@ class TestCaterpillar:
     def test_structure(self):
         for seed in range(10):
             spec = FamilySpec(CATERPILLAR, 30, 4, seed=seed)
-            g, meta = generate(spec)
+            g, tl_bound = generate(spec)
             assert verify_family_invariants(g, spec) == []
-            assert meta["tl_bound"] == 1
+            assert tl_bound == 1
 
     def test_degree_two_degenerates_to_path(self):
         g, _ = generate(FamilySpec(CATERPILLAR, 8, 2, seed=0))
@@ -209,9 +247,9 @@ class TestBoundedDegreeConnected:
     def test_connected_and_capped(self):
         for seed in range(15):
             spec = FamilySpec(BOUNDED_DEGREE_CONNECTED, 60, 4, seed=seed)
-            g, meta = generate(spec)
+            g, tl_bound = generate(spec)
             assert verify_family_invariants(g, spec) == []
-            assert meta["tl_bound"] is None
+            assert tl_bound is None
 
     def test_has_extra_edges_beyond_a_tree(self):
         g, _ = generate(FamilySpec(BOUNDED_DEGREE_CONNECTED, 60, 5, seed=0))

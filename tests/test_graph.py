@@ -48,6 +48,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            Graph(-1)
+
     @pytest.mark.parametrize("edges, pair", [
         ([(4, 2), (0, 1), (1, 2), (3, 4), (2, 4)], "2,4"),
         ([(2, 3), (0, 1), (3, 2), (1, 0)], "0,1"),  # the least repeated pair
@@ -77,6 +81,12 @@ class TestConstruction:
             b.add_edge(u, v)
         assert b.adj == [[1], [0], []]
         assert b.to_graph() == Graph(3, [(0, 1)])
+
+    def test_builder_rejects_self_loop(self):
+        b = GraphBuilder(3)
+        with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+            b.add_edge(1, 1)
+        assert b.adj == [[], [], []]
 
     def test_edges_lexicographic(self):
         g = Graph(4, [(2, 3), (0, 2), (0, 1)])
@@ -174,6 +184,16 @@ class TestEdgeListFormat:
     def test_malformed_line(self):
         with pytest.raises(EdgeListParseError, match="line 2"):
             read_edge_list("2 1\n0 1 9\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("3\n", "expected 'n m' header at line 1"),
+        ("a b\n", "non-integer header field at line 1"),
+        ("-1 0\n", "negative header value at line 1"),
+        ("2 1\n0 x\n", "non-integer vertex at line 2"),
+    ])
+    def test_bad_field_names_its_line(self, text, message):
+        with pytest.raises(EdgeListParseError, match=f"^{message}$"):
+            read_edge_list(text)
 
     def test_missing_header(self):
         with pytest.raises(EdgeListParseError, match="header"):

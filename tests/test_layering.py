@@ -71,13 +71,22 @@ class TestLayering:
 
     def test_from_depths_rejects_gap(self):
         with pytest.raises(ValueError, match="empty layer"):
-            layering_from_depths(0, [0, 2])
+            layering_from_depths([0, 2])
+
+    @pytest.mark.parametrize("depth, message", [
+        ([0, 1, 0], "vertices 0 and 2 both at depth 0; a layering has one root"),
+        ([1, 2], "no vertex at depth 0; a layering has one root"),
+        ([], "no vertex at depth 0; a layering has one root"),
+    ])
+    def test_from_depths_needs_exactly_one_root(self, depth, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            layering_from_depths(depth)
 
     def test_from_depths_past_n_allocates_no_layer_per_depth(self):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="^empty layer 2 below the deepest layer$"):
-                layering_from_depths(0, [0, 1, 10**6])
+                layering_from_depths([0, 1, 10**6])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -61,6 +61,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             ReconstructionConfig(ell=-1).validate()
 
+    def test_rejects_negative_max_degree(self):
+        with pytest.raises(ValueError, match="^max_degree must be nonnegative when given$"):
+            ReconstructionConfig(max_degree=-1).validate()
+
     @pytest.mark.parametrize("field, value", [("tau", 1.5), ("ell", 2.0), ("max_degree", 3.5)])
     def test_rejects_non_integer_parameters_before_any_query(self, field, value):
         oracle = DistanceOracle(generate(FamilySpec(RANDOM_TREE, 64, 3))[0])
@@ -368,6 +372,14 @@ class PutsThreeAtAFraction(DistanceOracle):
         return 3.5 if phase is QueryPhase.ROOT_BFS and v == 3 else d
 
 
+class PutsSevenAtZero(DistanceOracle):
+    """Answers the root scan's query for vertex 7 with 0, a second root."""
+
+    def query(self, u, v, phase):
+        d = super().query(u, v, phase)
+        return 0 if phase is QueryPhase.ROOT_BFS and v == 7 else d
+
+
 class TestReconstruct:
     @pytest.mark.parametrize("oracle_type, message", [
         (SkipsDepthTwo, "empty layer 2 below the deepest layer"),
@@ -376,6 +388,7 @@ class TestReconstruct:
         (PutsSevenFarPastN, "empty layer 7 below the deepest layer"),
         (PutsSevenAtAFraction, r"vertex 7 at non-integer depth 7\.5"),
         (PutsThreeAtAFraction, r"vertex 3 at non-integer depth 3\.5"),
+        (PutsSevenAtZero, "vertices 0 and 7 both at depth 0; a layering has one root"),
     ])
     def test_root_scan_off_the_protocol_raises_before_bootstrap(self, oracle_type, message):
         oracle = oracle_type(path(8))
@@ -383,6 +396,25 @@ class TestReconstruct:
             reconstruct(oracle)
         assert oracle.ledger.per_phase[QueryPhase.BOOTSTRAP] == 0
         assert oracle.ledger.distinct_queries == 7
+
+    @pytest.mark.parametrize("family", [RANDOM_TREE, CATERPILLAR])
+    def test_second_root_raises_under_strict_budgets(self, family):
+        # A second vertex at depth 0 once gave a random tree back with 62 of
+        # its 63 edges, and stopped a caterpillar with a pivot error.
+        class PutsLastAtZero(DistanceOracle):
+            def query(self, u, v, phase):
+                d = super().query(u, v, phase)
+                return 0 if phase is QueryPhase.ROOT_BFS and v == 63 else d
+
+        g, _ = generate(FamilySpec(family, 64, 4, seed=0))
+        oracle = PutsLastAtZero(g)
+        cfg = ReconstructionConfig(tau=1, strict_budget=True, max_degree=max_degree(g))
+        with pytest.raises(
+            ValueError, match="^vertices 0 and 63 both at depth 0; a layering has one root$"
+        ):
+            reconstruct(oracle, cfg)
+        assert oracle.ledger.per_phase[QueryPhase.BOOTSTRAP] == 0
+        assert oracle.ledger.distinct_queries == 63
 
     def test_p10_exact(self):
         g = path(10)
