@@ -278,6 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sprec",
         description="Reconstruct hidden graphs from shortest-path distance queries.",
+        allow_abbrev=False,  # a prefix such as --ell must not stand for --ell-from-truth
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -297,7 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--strict-budget", action="store_true")
 
     p_gen = sub.add_parser(
-        "generate", parents=[family], help="write a seeded family instance"
+        "generate", parents=[family], help="write a seeded family instance",
+        allow_abbrev=False,
     )
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
@@ -305,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_generate)
 
     p_rec = sub.add_parser(
-        "reconstruct", parents=[bound], help="reconstruct a graph file via queries"
+        "reconstruct", parents=[bound], help="reconstruct a graph file via queries",
+        allow_abbrev=False,
     )
     p_rec.add_argument("graph", help="edge-list file of the hidden graph")
     p_rec.add_argument("--log-queries", default=None, metavar="FILE")
@@ -313,7 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_bench = sub.add_parser(
-        "bench", parents=[family, bound], help="sweep sizes and seeds, emit records"
+        "bench", parents=[family, bound], help="sweep sizes and seeds, emit records",
+        allow_abbrev=False,
     )
     p_bench.add_argument(
         "--sizes", required=True, type=_size_list, help="comma-separated n values"
@@ -324,7 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--json", default=None, help="JSON mirror path")
     p_bench.set_defaults(func=cmd_bench)
 
-    p_ver = sub.add_parser("verify", help="compare two edge-list files")
+    p_ver = sub.add_parser(
+        "verify", help="compare two edge-list files", allow_abbrev=False
+    )
     p_ver.add_argument("graph")
     p_ver.add_argument("reconstruction")
     p_ver.set_defaults(func=cmd_verify)

@@ -51,7 +51,7 @@ class Layering:
         return len(self.layers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Part:
     layer: int
     vertices: tuple[int, ...]

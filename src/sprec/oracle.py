@@ -16,10 +16,11 @@ All balls share one dense list, each marking d(s, x) as base + d above the
 marks of the balls before it, so no batch allocates or clears n entries. A
 single query reads exact 2-hop distance labels of the hidden graph: pruned
 landmark labels (Akiba, Iwata and Yoshida, SIGMOD 2013), built at the first
-single query by one pruned BFS per vertex, each a hub tuple and a distance
-tuple. One vertex's label is held, spread over an n-entry hub array, so a
-pair with a held end reads one label: the ancestor search, asking (w, x) for
-many w, loads x once per descent.
+single query by one pruned BFS per vertex, each a hub tuple and its
+distances as bytes (a tuple if one is 256 or more). One vertex's label is
+held, spread over an n-entry hub array, so a pair with a held end reads one
+label: the ancestor search, asking (w, x) for many w, loads x once per
+descent.
 Vertices are ranked by a centroid decomposition of a BFS tree of the hidden
 graph from vertex 0. Labels are exact under any order; this one keeps them
 near log2 n entries per vertex on bounded-treelength graphs: at n=8192, 8.1
@@ -145,7 +146,7 @@ class DistanceOracle:
         self._partners: list[array | bytearray] | None = None
         self._id_code = "H" if self.n <= 1 << 16 else "i"
         self._dense = (self.n + 7 >> 3) // array(self._id_code).itemsize
-        self._labels: list[list[tuple[int, ...]]] | None = None  # [hubs, dists]
+        self._labels: list[list[tuple[int, ...] | bytes]] | None = None  # [hubs, dists]
         self._via: list[int] = []  # the held hub array, built with the labels
         self._held = -1  # the vertex it holds, none until a query
         self._rows: OrderedDict[int, array] = OrderedDict()  # fallback rows
@@ -358,9 +359,11 @@ class DistanceOracle:
             stats.evicted += 1
         return row
 
-    def _build_labels(self) -> list[list[tuple[int, ...]]]:
+    def _build_labels(self) -> list[list[tuple[int, ...] | bytes]]:
         """Pruned landmark labels of the hidden graph, [hubs, dists] with u's
-        hubs and its distances to them in step, or [] past the budget.
+        hubs as a tuple and its distances to them in step, as bytes when all
+        are below 256 (reading bytes gives the same ints), else a tuple; or []
+        past the budget.
 
         Vertices r are taken in _separator_order; the BFS from r does not
         label or expand a vertex u at distance d when a hub ranked before r
@@ -403,7 +406,9 @@ class DistanceOracle:
         else:
             dists = [()] * n
             for u, lu in enumerate(labels):  # a vertex at a time: no full second copy
-                labels[u], dists[u] = tuple(lu), tuple(lu.values())
+                ds = lu.values()
+                labels[u] = tuple(lu)
+                dists[u] = bytes(ds) if max(ds) < 256 else tuple(ds)
             labels, self._via, self._held = [labels, dists], via, -1
         stats.label_entries += entries
         stats.label_visits += visits

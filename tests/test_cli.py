@@ -118,13 +118,23 @@ class TestReconstruct:
         assert exc.value.code == 2
         assert "argument --tau: expected a positive integer" in capsys.readouterr().err
 
-    def test_direct_bound_is_not_an_option(self, tmp_path):
+    def test_direct_bound_is_not_an_option(self, tmp_path, capsys):
         # --ell-from-truth alone sets the bound from the input
         src = tmp_path / "c6.edges"
         write_graph(src, cycle(6))
         with pytest.raises(SystemExit) as exc:
             main(["reconstruct", str(src), "--ell", "3"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --ell 3" in capsys.readouterr().err
+
+    def test_abbreviated_flag_is_not_taken_for_a_longer_one(self, tmp_path, capsys):
+        # --ell alone is a prefix of --ell-from-truth, not that flag
+        src = tmp_path / "c6.edges"
+        write_graph(src, cycle(6))
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", str(src), "--ell"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ell" in capsys.readouterr().err
 
     def test_query_log_dump(self, tmp_path):
         src = tmp_path / "p5.edges"

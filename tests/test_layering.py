@@ -104,6 +104,12 @@ class TestLayeringTree:
         ]
         assert tree.parent == [-1, 0, 1, 2]
 
+    def test_parts_keep_their_fields_in_slots(self):
+        # no attribute dict per part: a part holds its two fields only
+        part = build_layering_tree(C6, C6_LAY).parts[1]
+        assert not hasattr(part, "__dict__")
+        assert (part.layer, part.vertices) == (1, (1, 5))
+
     def test_tree_graph_parts_are_singletons(self):
         rng = random.Random(4)
         for n in (2, 9, 40):
