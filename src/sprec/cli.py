@@ -79,11 +79,17 @@ def _staged_outputs(*paths: str | None):
     made on entry so a bad path fails before any work. The block pops the
     files it writes from the yielded dict; if it ends without an exception,
     each of them replaces its path. Any other staged file is removed, so a
-    failed run leaves an existing output as it was and creates none."""
+    failed run leaves an existing output as it was and creates none. Two
+    paths that name one file fail before any is staged."""
+    outputs = [path for path in paths if path]
+    real = [os.path.realpath(path) for path in outputs]
+    for i, path in enumerate(outputs):
+        if real[i] in real[:i]:
+            raise OSError(f"two outputs name the same file: {path}")
     staged: dict[str, tuple[str, io.TextIOWrapper]] = {}  # path -> (stage, file)
     try:
-        for path in filter(None, paths):
-            tmp = f"{os.path.realpath(path)}.{os.getpid()}.tmp"
+        for path, target in zip(outputs, real):
+            tmp = f"{target}.{os.getpid()}.tmp"
             staged[path] = tmp, open(tmp, "x", encoding="utf-8")
         unclaimed = {path: fh for path, (_, fh) in staged.items()}
         yield unclaimed

@@ -27,8 +27,9 @@ near log2 n entries per vertex on bounded-treelength graphs: at n=8192, 8.1
 on a random tree, 11.2 on a caterpillar and 14.2 to 14.6 on 2-trees. Graphs
 of large treelength get much larger labels, so the build stops once they
 hold more than _LABEL_BUDGET * n * ceil(log2 n) entries; single queries
-then read complete BFS rows instead, kept least recently used first within
-_ROW_CACHE_BYTES: a pair, new or re-asked, reads u's row.
+then read one held complete BFS row instead, of an end of the pair if one is
+held, else of the end the previous pair also had, else of v: a descent
+builds one row, and a loop over v with u fixed at most two.
 
 One oracle serves one reconstruction run; concurrent runs each get their own.
 """
@@ -38,7 +39,6 @@ from __future__ import annotations
 import io
 import time
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import add, index
@@ -46,11 +46,6 @@ from typing import Iterable
 
 from .graph import Graph, bfs_distances, is_connected
 
-# Memory budget for the complete BFS rows that answer single queries once
-# the labels are over budget; answers stay exact under eviction, only
-# recomputation cost is affected. Every row costs 4 bytes per vertex, so the
-# budget is a row count.
-_ROW_CACHE_BYTES = 128 << 20
 # The label build stops once the labels hold more than this many entries
 # per vertex and per bit of n: 4 * n * ceil(log2 n) in all.
 _LABEL_BUDGET = 4
@@ -102,8 +97,7 @@ class OracleStats:
     label_visits: vertices the label build's pruned BFSs reached.
     label_seconds: wall time of the label build, its vertex order included.
     fallback_rows: complete BFS rows built for single queries once the
-        labels were over budget.
-    evicted: fallback rows evicted from the row cache.
+        labels were over budget, one held at a time.
     """
 
     balls_transient: int = 0
@@ -112,7 +106,6 @@ class OracleStats:
     label_visits: int = 0
     label_seconds: float = 0.0
     fallback_rows: int = 0
-    evicted: int = 0
 
 
 class DistanceOracle:
@@ -124,7 +117,9 @@ class DistanceOracle:
     ledger, log and answers of query(s, t) per target, charged in one pass.
     query(u, v) reads the label of an end that is not held, holding v if
     neither is; the labels are built at the first single query, so runs
-    that ask none pay nothing for them.
+    that ask none pay nothing for them. Past their budget it reads the held
+    end's complete BFS row, holding the end the previous pair also had if
+    neither end is held, else v.
 
     Where query is overridden (a subclass, a wrapper), a batch calls it for
     every target and the batch's answers, taken from its ball first, answer
@@ -147,9 +142,9 @@ class DistanceOracle:
         self._id_code = "H" if self.n <= 1 << 16 else "i"
         self._dense = (self.n + 7 >> 3) // array(self._id_code).itemsize
         self._labels: list[list[tuple[int, ...] | bytes]] | None = None  # [hubs, dists]
-        self._via: list[int] = []  # the held hub array, built with the labels
+        self._via: list[int] = []  # the held hub array, or past the budget BFS row
         self._held = -1  # the vertex it holds, none until a query
-        self._rows: OrderedDict[int, array] = OrderedDict()  # fallback rows
+        self._last = -1  # past the budget, the previous pair's other end
         # all batch balls, built at the first batch: d(s, x) is marked as
         # base + d, and marks below _base are left from earlier balls
         self._marks: list[int] | None = None
@@ -306,8 +301,15 @@ class DistanceOracle:
         labels = self._labels
         if labels is None:
             labels = self._labels = self._build_labels()
-        if not labels:
-            return self._row(u)[v]
+        if not labels:  # past the budget: via is x's complete BFS row
+            x = self._held
+            if x != u and x != v:
+                self._held = x = u if u == self._last else v
+                self._via = bfs_distances(self.hidden, x)
+                self.stats.fallback_rows += 1
+                self.stats.visited += self.n  # the hidden graph is connected
+            self._last = w = v if u == x else u
+            return self._via[w]
         (hubs, dists), via, x = labels, self._via, self._held
         if x != u and x != v:
             for h in hubs[x]:  # x = -1 resets hubs[n - 1], all n already
@@ -342,22 +344,6 @@ class DistanceOracle:
             frontier = nxt
         self.stats.visited += held
         return level
-
-    def _row(self, s: int) -> array:
-        """s's complete BFS row, the most recently used from now on; least
-        recently used rows leave while the cache is over its budget."""
-        rows, stats = self._rows, self.stats
-        row = rows.get(s)
-        if row is not None:
-            rows.move_to_end(s)
-            return row
-        row = rows[s] = array("i", bfs_distances(self.hidden, s))
-        stats.fallback_rows += 1
-        stats.visited += self.n  # the hidden graph is connected
-        while len(rows) > max(1, _ROW_CACHE_BYTES // (row.itemsize * self.n)):
-            rows.popitem(last=False)
-            stats.evicted += 1
-        return row
 
     def _build_labels(self) -> list[list[tuple[int, ...] | bytes]]:
         """Pruned landmark labels of the hidden graph, [hubs, dists] with u's

@@ -158,8 +158,8 @@ class _AncestorSearch:
             for w in self._neighbors[node.pivot]:
                 # (w, x), not (x, w): the query-log pins record this order.
                 # The labels hold x for its whole descent and read w's label
-                # alone; past their budget w's fallback row is read, which
-                # the layer's vertices reuse, as they probe the same pivots.
+                # alone; past their budget x's complete BFS row is held
+                # through the descent instead, and read at w.
                 d = oracle.query(w, x, QueryPhase.ANCESTOR_SEARCH)
                 if best_w < 0 or d < best_d:
                     best_w, best_d = w, d

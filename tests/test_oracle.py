@@ -89,7 +89,7 @@ class TestQuery:
         with pytest.raises(TypeError, match=r"vertices \(.*\) must be integers"):
             o.query(u, v, ANC)
         assert o.ledger.raw_calls == 0 and o.ledger.log == []
-        assert o.ledger.distinct_queries == 0 and o._rows == {}
+        assert o.ledger.distinct_queries == 0 and o.stats.fallback_rows == 0
         assert o.query(0, 2, ANC) == 2 and o.ledger.distinct_queries == 1
         assert o.query(1, 2, ANC) == 1 and o.ledger.distinct_queries == 2
 
@@ -163,26 +163,26 @@ class TestBatch:
         o = DistanceOracle(path(3))
         with pytest.raises(ValueError, match="out of range for n=3"):
             o.batch_distances_from(s, [0, 1], ANC)
-        assert o._rows == {} and o.ledger.raw_calls == 0
+        assert o.stats.fallback_rows == 0 and o.ledger.raw_calls == 0
 
     def test_target_out_of_range_charges_nothing(self):
         o = DistanceOracle(path(3))
         with pytest.raises(ValueError, match=r"vertex pair \(0,3\) out of range"):
             o.batch_distances_from(0, [1, 3], ANC)
-        assert o._rows == {} and o.ledger.raw_calls == 0
+        assert o.stats.fallback_rows == 0 and o.ledger.raw_calls == 0
 
     def test_phase_must_be_enum(self):
         o = DistanceOracle(path(3))
         with pytest.raises(TypeError, match="phase must be a QueryPhase"):
             o.batch_distances_from(0, [1, 2], "bootstrap")
-        assert o._rows == {} and o.ledger.raw_calls == 0
+        assert o.stats.fallback_rows == 0 and o.ledger.raw_calls == 0
 
     @pytest.mark.parametrize("s", [0.5, 1.0, "0"])
     def test_non_integer_source_charges_nothing(self, s):
         o = DistanceOracle(path(3))
         with pytest.raises(TypeError, match=r"vertices \(.*\) must be integers"):
             o.batch_distances_from(s, [0, 2], ANC)
-        assert o._rows == {} and o.ledger.raw_calls == o.ledger.distinct_queries == 0
+        assert o.stats.fallback_rows == 0 and o.ledger.raw_calls == o.ledger.distinct_queries == 0
         assert o.query(1, 2, ANC) == 1 and o.ledger.distinct_queries == 1
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, "2"])
@@ -190,7 +190,7 @@ class TestBatch:
         o = DistanceOracle(path(4))
         with pytest.raises(TypeError, match=r"vertices \(0, .*\) must be integers"):
             o.batch_distances_from(0, [1, bad, 3], ANC)
-        assert o._rows == {} and o.ledger.raw_calls == o.ledger.distinct_queries == 0
+        assert o.stats.fallback_rows == 0 and o.ledger.raw_calls == o.ledger.distinct_queries == 0
         # target 1 came before the bad one and still has its pair to charge
         assert o.query(0, 1, ANC) == 1 and o.ledger.distinct_queries == 1
 
@@ -206,39 +206,9 @@ class TestTruncatedBalls:
         assert o.batch_distances_from(0, [20, 1, 3], ANC) == {20: 20, 1: 1, 3: 3}
         assert o.batch_distances_from(39, [0, 38], ANC) == {0: 39, 38: 1}
 
-    def test_query_reads_only_the_first_endpoint_ball(self, monkeypatch):
+    def test_held_row_on_a_path(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", 0)
-        o = DistanceOracle(path(40))
-        o.query(10, 12, ANC)  # labels over budget: a complete row from 10
-        assert o._labels == [] and o.stats.fallback_rows == 1
-        assert o.query(10, 11, ANC) == 1  # 10's row holds 11
-        assert o.stats.fallback_rows == 1 and o.stats.visited == 40
-        # reversed: 10's row holds 9, but 9 is first, so 9's row is built
-        assert o.query(9, 10, ANC) == 1
-        assert o.stats.fallback_rows == 2 and o.stats.visited == 80
-        # a re-asked pair reads its first endpoint's row, as a new pair does
-        assert o.query(12, 10, ANC) == 2 and o.ledger.distinct_queries == 3
-        assert o.stats.fallback_rows == 3 and o.stats.visited == 120
-        assert o.query(30, 10, ANC) == 20
-        assert o.stats.fallback_rows == 4 and sorted(o._rows) == [9, 10, 12, 30]
-
-    def test_forced_eviction(self, monkeypatch):
-        monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", 0)
-        monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", 0)
-        rng = random.Random(3)
-        g = random_graph(rng, 300, 150)
-        table = brute_all_pairs(g)
-        o = DistanceOracle(g)
-        for _ in range(60):
-            s = rng.randrange(g.n)
-            targets = rng.sample(range(g.n), 5)
-            out = o.batch_distances_from(s, targets, ANC)
-            assert out == {t: table[s][t] for t in targets}
-            u, v = rng.randrange(g.n), rng.randrange(g.n)
-            assert o.query(u, v, ANC) == table[u][v]
-            assert len(o._rows) <= 1  # only the newest row survives
-        assert o.stats.fallback_rows > 1
-        assert o.stats.evicted == o.stats.fallback_rows - 1
+        check_held_row(path(40))
 
 
 class TestTransientBalls:
@@ -247,12 +217,12 @@ class TestTransientBalls:
     def test_batch_without_a_row_keeps_none(self):
         o = DistanceOracle(path(40))
         assert o.batch_distances_from(5, [9, 1, 9], ANC) == {9: 4, 1: 4}
-        assert o._rows == {} and o._labels is None and o._ball is None
+        assert o.stats.fallback_rows == 0 and o._labels is None and o._ball is None
         # radius 4 around 5: vertices 1 to 9
         assert o.stats == OracleStats(balls_transient=1, visited=9)
         assert o.batch_distances_from(5, [9, 12], ANC) == {9: 4, 12: 7}
         # a second ball from 5: radius 7, vertices 0 to 12
-        assert o._rows == {} and o._labels is None
+        assert o.stats.fallback_rows == 0 and o._labels is None
         assert o.stats == OracleStats(balls_transient=2, visited=9 + 13)
 
     def test_overridden_query_reads_the_batch_ball(self):
@@ -265,13 +235,13 @@ class TestTransientBalls:
         o = Counting(path(40), log_queries=True)
         assert o.batch_distances_from(5, [9, 1, 5], ANC) == {9: 4, 1: 4, 5: 0}
         # the ball answered every target: no labels, no rows, no slot left
-        assert o._labels is None and o._rows == {} and o._ball is None
+        assert o._labels is None and o.stats.fallback_rows == 0 and o._ball is None
         assert o.stats == OracleStats(balls_transient=1, visited=9)
         with pytest.raises(KeyError):
             o.batch_distances_from(5, [12, 39], ANC)
         assert o._ball is None and o._labels is None
         assert o.query(5, 20, ANC) == 15  # a single query builds the labels
-        assert o.stats.label_entries > 0 and o._rows == {}
+        assert o.stats.label_entries > 0 and o.stats.fallback_rows == 0
 
 
 class TestSharedBalls:
@@ -280,7 +250,7 @@ class TestSharedBalls:
     during batches must leave every answer exact."""
 
     @pytest.mark.parametrize(
-        "budgets", [{}, {"_LABEL_BUDGET": 0, "_ROW_CACHE_BYTES": 0}],
+        "budgets", [{}, {"_LABEL_BUDGET": 0}],
         ids=["default", "fallback-rows"])
     def test_random_batches_between_queries(self, monkeypatch, budgets):
         for name, value in budgets.items():
@@ -303,14 +273,13 @@ class TestSharedBalls:
             assert o.ledger.distinct_queries == len(model)
         assert o.stats.balls_transient == 200
         if budgets:
-            assert o.stats.fallback_rows > 1 and o.stats.evicted == o.stats.fallback_rows - 1
+            assert o.stats.fallback_rows > 1
 
     def test_wrapped_query_sees_every_target(self, monkeypatch):
         # a wrapper on the class, as perfbench's tracer installs, that asks a
         # single query of its own per target: past the label budget, each
         # one builds a fallback row in the middle of the batch
         monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", 0)
-        monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", 0)
         rng = random.Random(7)
         g = random_graph(rng, 200, 100)
         table = brute_all_pairs(g)
@@ -436,7 +405,8 @@ class TestPartnerRows:
 
 class TestDistanceLabels:
     """Single queries read pruned landmark labels of the hidden graph, built
-    at the first one in separator order, or complete rows past the budget."""
+    at the first one in separator order, or a held complete row past the
+    budget."""
 
     def test_labels_are_built_at_the_first_single_query(self):
         o = DistanceOracle(cycle(9))
@@ -446,7 +416,7 @@ class TestDistanceLabels:
         built = dataclasses.replace(o.stats)
         assert 9 <= built.label_entries <= built.label_visits and built.label_seconds > 0
         assert [o.query(u, v, ANC) for u, v in [(0, 5), (3, 8), (1, 7)]] == [4, 4, 3]
-        assert o.stats == built and o._rows == {}
+        assert o.stats == built and o.stats.fallback_rows == 0
 
     def test_separator_order_centres_a_bfs_tree(self):
         # the centroid first, then the centroids of the pieces each centroid
@@ -476,20 +446,28 @@ class TestDistanceLabels:
         o = DistanceOracle(hidden)
         assert o._build_labels() and o.stats.label_entries <= 15 * n
 
-    def test_zero_budget_falls_back_to_lru_rows(self, monkeypatch):
+    def test_held_row_on_a_cycle(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", 0)
         g = cycle(64)
-        monkeypatch.setattr(oracle_module, "_ROW_CACHE_BYTES", 2 * 4 * g.n)  # two rows
+        check_held_row(g)
         table = brute_all_pairs(g)
         o = DistanceOracle(g)
-        for u, v in [(0, 32), (1, 40), (0, 50), (2, 3)]:
+        # (pair, the vertex whose row answers it, rows built so far)
+        steps = [
+            ((0, 32), 32, 1),  # no end held and no pair before: v
+            ((5, 32), 32, 1),  # a held end, second
+            ((32, 7), 32, 1),  # a held end, first
+            ((7, 9), 7, 2),  # no end held: 7 was in the pair before
+            ((9, 7), 7, 2),
+            ((3, 9), 9, 3),  # 9 was in the pair before, as its other end
+            ((1, 2), 2, 4),  # neither end was in the pair before: v
+        ]
+        for (u, v), held, built in steps:
             assert o.query(u, v, ANC) == table[u][v]
+            assert o._held == held and o.stats.fallback_rows == built
+            assert o._via == table[held]
         # the build stopped at its first root's n entries and left no labels
         assert o._labels == [] and o.stats.label_entries == g.n
-        # 0 was read again after 1, so 1 left first
-        assert list(o._rows) == [0, 2]
-        assert o.stats.fallback_rows == 3 and o.stats.evicted == 1
-        assert all(list(row) == table[s] for s, row in o._rows.items())
 
     def test_ancestor_queries_read_labels_and_batches_keep_no_rows(self):
         # a 2-tree asks most of its queries in neighbour-search batches;
@@ -499,7 +477,7 @@ class TestDistanceLabels:
         o = DistanceOracle(hidden)
         reconstruct(o, ReconstructionConfig(tau=1, strict_budget=True, max_degree=8))
         assert o.ledger.per_phase[ANC] > 0
-        assert o._labels and o._rows == {} and o.stats.fallback_rows == 0
+        assert o._labels and o.stats.fallback_rows == 0
         assert 0 < o.stats.label_entries <= 4 * n * 10
         assert o.stats.balls_transient >= n - 1
 
@@ -521,7 +499,30 @@ class TestDistanceLabels:
             FamilySpec(family="bounded-degree-connected", n=n, max_degree=4, seed=seed))
         o = check_all_pairs(hidden)
         assert o._labels == [] and o.stats.label_entries > 4 * n * 9
-        assert o.stats.fallback_rows == n - 1 and o.stats.evicted == 0
+        # two held rows per u, v's then u's, but one for u = n - 2, whose
+        # loop asks one pair
+        assert o.stats.fallback_rows == 2 * n - 3
+
+
+def check_held_row(graph):
+    """Past the label budget, check that a descent (w, x) over many w builds
+    one row and a loop over v with u fixed at most two, with exact answers
+    and one n-entry row held."""
+    table = brute_all_pairs(graph)
+    n = graph.n
+    o = DistanceOracle(graph)
+    x = n // 2
+    for w in [x - 1, 1, n - 1, 0, 1, x + 3]:
+        assert o.query(w, x, ANC) == table[w][x]
+    assert o._labels == [] and o._held == x and o.stats.fallback_rows == 1
+    o = DistanceOracle(graph)
+    for u in range(n):
+        built = o.stats.fallback_rows
+        for v in range(u + 1, n):
+            assert o.query(u, v, ANC) == table[u][v]
+            assert len(o._via) == n and o._via == table[o._held]
+        assert o.stats.fallback_rows - built <= 2
+    assert o.stats.visited == n * o.stats.fallback_rows
 
 
 def small_spec(family):
@@ -589,12 +590,8 @@ def interleaved_calls(draw, n_range):
                 calls[i] = ("batch", hub, [far, *ring[:pick % 3]])
             else:
                 calls[i] = ("query", hub, far)
-    # labels within the default budget or none at all; then the default row
-    # budget, none at all, or room for four rows, the last two evicting rows
-    budgets = {
-        "_LABEL_BUDGET": draw(st.sampled_from([oracle_module._LABEL_BUDGET, 0])),
-        "_ROW_CACHE_BYTES": draw(st.sampled_from([oracle_module._ROW_CACHE_BYTES, 0, 16 * n])),
-    }
+    # labels within the default budget or none at all
+    budgets = {"_LABEL_BUDGET": draw(st.sampled_from([oracle_module._LABEL_BUDGET, 0]))}
     return graph, calls, budgets
 
 
@@ -615,18 +612,17 @@ def rings_around(graph, s):
 
 
 def check_rows(o, table, touched):
-    """No batch ball is left behind; every fallback row is its source's
-    complete row, and the rows fit the row budget; built labels answer
-    every pair from a touched vertex exactly, and leave no row."""
+    """No batch ball is left behind; built labels answer every pair from a
+    touched vertex exactly and build no row; past the label budget, the
+    held row is its vertex's complete row."""
     n = o.n
     assert o._ball is None
-    for s, row in o._rows.items():
-        assert list(row) == table[s]
-    assert len(o._rows) <= max(1, oracle_module._ROW_CACHE_BYTES // (4 * n))
     if o._labels:
-        assert not o._rows
+        assert o.stats.fallback_rows == 0
         for u in touched:
             assert [o._distance(u, v) for v in range(n)] == table[u]
+    elif o._labels == []:
+        assert len(o._via) == n and o._via == table[o._held]
 
 
 def asked(a, targets):
@@ -752,7 +748,7 @@ class TestSimulatorWork:
         reconstruct(o, ReconstructionConfig(tau=1, strict_budget=True, max_degree=4))
         assert o.stats.visited + o.stats.label_visits <= 32 * n
         assert o.stats.label_entries <= 16 * n  # a bit over 8 per vertex
-        assert o.stats.fallback_rows == o.stats.evicted == 0
+        assert o.stats.fallback_rows == 0
         assert o.stats.balls_transient <= n
 
     def test_answered_pairs_stay_lean(self):
