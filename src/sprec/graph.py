@@ -42,14 +42,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u].append(v)
             adj[v].append(u)
-        for a in adj:
-            a.sort()
-        # Only a repeated edge repeats a neighbour; then scan to name the least.
-        if sum(map(len, map(set, adj))) != sum(map(len, adj)):
-            u, v = next((u, x) for u, a in enumerate(adj) for x, y in zip(a, a[1:]) if x == y)
-            raise ValueError(f"duplicate edge ({u},{v})")
         self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self.adj = _freeze(adj)
 
     @property
     def m(self) -> int:
@@ -76,8 +70,8 @@ class Graph:
 class GraphBuilder:
     """Mutable adjacency accumulator; freeze with to_graph().
 
-    Not thread safe; owned by a single reconstruction run. to_graph() reads
-    each edge off the adjacency lists once, so an edge added twice raises.
+    Not thread safe; owned by a single reconstruction run. to_graph() turns its
+    lists into the graph's tuples, so it comes last, once; an edge added twice raises.
     """
 
     __slots__ = ("n", "adj")
@@ -96,7 +90,20 @@ class GraphBuilder:
         self.adj[v].append(u)
 
     def to_graph(self) -> Graph:
-        return Graph(self.n, ((u, v) for u, a in enumerate(self.adj) for v in a if u < v))
+        g = Graph.__new__(Graph)
+        g.n, g.adj = self.n, _freeze(self.adj)
+        return g
+
+
+def _freeze(adj: list) -> tuple[tuple[int, ...], ...]:
+    """Sort each list and swap it for its tuple in place; name the least repeated pair."""
+    for u, a in enumerate(adj):
+        a.sort()
+        adj[u] = tuple(a)  # one list at a time, so no second copy of them all is held
+    if sum(map(len, map(set, adj))) != sum(map(len, adj)):
+        u, v = next((u, x) for u, a in enumerate(adj) for x, y in zip(a, a[1:]) if x == y)
+        raise ValueError(f"duplicate edge ({u},{v})")
+    return tuple(adj)
 
 
 GraphLike = Graph | GraphBuilder

@@ -3,7 +3,8 @@
 Rooted at s, layer j holds the vertices at distance j from s. The parts at
 layer j are the intersections of layer j with the connected components of the
 graph minus all shallower layers; parts partition each layer and form a tree
-in which every part's parent sits one layer up.
+in which every part's parent sits one layer up. Most parts are one vertex, so
+the tree keeps its parts in flat per-part arrays, with no object per part.
 
 build_layering_tree builds the full tree of a completely known graph (ground
 truth for tests and benchmarks). The reconstruction grows a depth-capped tree
@@ -14,6 +15,8 @@ layers they share.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from operator import index
 from typing import Collection, Sequence
@@ -49,12 +52,6 @@ class Layering:
     @property
     def num_layers(self) -> int:
         return len(self.layers)
-
-
-@dataclass(frozen=True, slots=True)
-class Part:
-    layer: int
-    vertices: tuple[int, ...]
 
 
 def layering_from_depths(depth: Sequence[int]) -> Layering:
@@ -96,6 +93,9 @@ class LayeringTree:
     Part ids are assigned in (layer, min vertex id) order, so ids of a capped
     tree match the ids of the full tree truncated at the same depth.
 
+    Parts live in flat arrays: `layer[p]`, `parent[p]`, and slices of one list
+    each, `vertices(p)` and `children(p)`; layer k writes layer k - 1's children.
+
     Growth keeps, per part, the number of parts in its subtree (`size`) and
     a skew-binary jump pointer (Myers, 1983), so subtree sizes are O(1)
     reads and level ancestors take O(log n) steps. Each appended layer
@@ -104,26 +104,37 @@ class LayeringTree:
     sum of the capped-layer parts in the subtree of each part it visits.
     """
 
-    __slots__ = ("parts", "parent", "children", "vertex_to_part", "cap", "size", "jump",
-                 "caps")
+    __slots__ = ("layer", "parent", "vertex_to_part", "cap", "size", "jump", "caps",
+                 "_verts", "_vstart", "_kids", "_kstart")
 
     def __init__(self, n: int):
-        self.parts: list[Part] = []
+        self.layer: list[int] = []
         self.parent: list[int] = []
-        self.children: list[list[int]] = []
         self.vertex_to_part: list[int] = [-1] * n
         self.cap = -1
         self.size: list[int] = []
         self.jump: list[int] = []
         self.caps: dict[int, tuple[int, int]] = {}
+        self._verts: list[int] = []
+        self._vstart = array("i", [0])  # part p's vertices start at _vstart[p]
+        self._kids: list[int] = []
+        self._kstart = array("i", [0])  # part p's children start at _kstart[p]
+
+    def vertices(self, pid: int) -> list[int]:
+        """The vertices of part pid, ascending."""
+        return self._verts[self._vstart[pid] : self._vstart[pid + 1]]
+
+    def children(self, pid: int) -> list[int]:
+        """The child parts of part pid, ascending; none in the capped layer."""
+        ks = self._kstart
+        return self._kids[ks[pid] : ks[pid + 1]] if pid + 1 < len(ks) else []
 
     def is_under(self, pid: int, top: int) -> bool:
         """Whether part pid lies in the subtree rooted at part top."""
-        parts, jump = self.parts, self.jump
-        layer = parts[top].layer
-        while parts[pid].layer > layer:
+        layer, jump, lt = self.layer, self.jump, self.layer[top]
+        while layer[pid] > lt:
             j = jump[pid]
-            pid = j if parts[j].layer >= layer else self.parent[pid]
+            pid = j if layer[j] >= lt else self.parent[pid]
         return pid == top
 
     # -- growth ------------------------------------------------------------
@@ -147,18 +158,14 @@ class LayeringTree:
         for v in layering.layers[k]:
             groups.setdefault(labels[v], []).append(v)
         new_ids: dict[int, int] = {}
-        depth = layering.depth
-        adj = prefix_graph.adj
+        depth, adj = layering.depth, prefix_graph.adj
+        first = len(self.layer)
         # Ascending iteration over the layer makes group insertion order equal
         # to min-vertex order, matching the global id assignment rule.
         for label, vs in groups.items():
-            pid = len(self.parts)
-            self.parts.append(Part(k, tuple(vs)))
-            self.children.append([])
-            if k == 0:
-                self.parent.append(-1)
-            else:
-                parent_pid = -1
+            pid = len(self.layer)
+            parent_pid = -1
+            if k > 0:
                 for u in vs:
                     for w in adj[u]:
                         if depth[w] == k - 1:
@@ -170,26 +177,33 @@ class LayeringTree:
                     raise LayeringInvariantError(
                         f"part {vs} at layer {k} has no neighbor one layer up"
                     )
-                self.parent.append(parent_pid)
-                self.children[parent_pid].append(pid)
+            self.layer.append(k)
+            self.parent.append(parent_pid)
+            self._verts += vs
+            self._vstart.append(len(self._verts))
             self._add_leaf(pid)
             for u in vs:
                 self.vertex_to_part[u] = pid
             new_ids[label] = pid
+        if k > 0:  # children of the layer k - 1 parts; a stable sort keeps them in id order
+            per_parent = Counter(self.parent[first:])
+            for p in range(len(self._kstart) - 1, first):
+                self._kstart.append(self._kstart[-1] + per_parent[p])
+            self._kids += sorted(range(first, len(self.layer)), key=self.parent.__getitem__)
         self._count_layer(new_ids.values())
         self.cap = k
         return new_ids
 
     def _add_leaf(self, pid: int) -> None:
         """Set the jump pointer of new leaf pid, and a size of 0 for _count_layer."""
-        parent, jump, parts = self.parent, self.jump, self.parts
+        parent, jump, layer = self.parent, self.jump, self.layer
         p = parent[pid]
         if p < 0:
             jump.append(pid)
         else:
             j = jump[p]
-            mid = parts[j].layer
-            even = parts[p].layer - mid == mid - parts[jump[j]].layer
+            mid = layer[j]
+            even = layer[p] - mid == mid - layer[jump[j]]
             jump.append(jump[j] if even else p)
         self.size.append(0)
 
@@ -257,8 +271,8 @@ def tree_length(g: GraphLike, tree: LayeringTree) -> int:
     known structural bound; never consumes oracle queries.
     """
     best = 0
-    for part in tree.parts:
-        vs = part.vertices
+    for pid in range(len(tree.layer)):
+        vs = tree.vertices(pid)
         if len(vs) < 2:
             continue
         for u in vs:
@@ -280,7 +294,7 @@ def centroid(tree: LayeringTree, top: int, excluded: tuple[int, ...], start: int
     distance to the centroid, not with the size of the subtree. A tree has
     one centroid or two adjacent ones, split by an edge into equal halves.
     """
-    size, parent, children = tree.size, tree.parent, tree.children
+    size, parent = tree.size, tree.parent
 
     def inner(pid: int) -> int:
         return size[pid] - sum(size[r] for r in excluded if tree.is_under(r, pid))
@@ -294,7 +308,7 @@ def centroid(tree: LayeringTree, top: int, excluded: tuple[int, ...], start: int
             continue
         heavy = -1
         twin = parent[v] if up and 2 * up == total else -1
-        for c in children[v]:
+        for c in tree.children(v):
             if c in excluded:
                 continue
             s = inner(c)

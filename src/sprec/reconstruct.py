@@ -203,7 +203,7 @@ class _AncestorSearch:
             node.kids = {}
         self._hints[depth] = pivot
         if pivot not in self._neighbors:
-            w = neighbors_of_set(self.prefix_graph, tree.parts[pivot].vertices)
+            w = neighbors_of_set(self.prefix_graph, tree.vertices(pivot))
             self._neighbors[pivot] = sorted(w)
 
     def _kid(self, node: _PivotNode, wp: int) -> _PivotNode:
@@ -262,13 +262,13 @@ def _extend_layer(
     """
     k = i - ell - 2
     tree = search.tree
+    first = len(tree.layer)
     part_of = _grow_tree(tree, layering, builder, k, ell)
     layers = layering.layers
     if max_degree is not None:
         part_limit = max_degree ** (ell + 1)
-        # Ascending vertices meet the parts in id order.
-        for v in layers[k]:
-            size = len(tree.parts[part_of[v]].vertices)
+        for pid in range(first, len(tree.layer)):  # the new parts, in id order
+            size = len(tree.vertices(pid))
             if size > part_limit:
                 raise InvariantViolation(
                     f"part at layer {k} has {size} vertices, above the bound "
@@ -372,15 +372,14 @@ def reconstruct(
     fresh = oracle.ledger.raw_calls == 0
 
     # The root is vertex 0: its scan fixes every depth, and so the layering.
-    depth_map = oracle.batch_distances_from(0, range(1, n), QueryPhase.ROOT_BFS)
+    depth = [0] + [UNREACHABLE] * (n - 1)
+    for v, d in oracle.batch_distances_from(0, range(1, n), QueryPhase.ROOT_BFS).items():
+        depth[v] = d
     if strict and fresh and oracle.ledger.per_phase[QueryPhase.ROOT_BFS] != n - 1:
         raise BudgetExceeded(
             f"root scan charged {oracle.ledger.per_phase[QueryPhase.ROOT_BFS]} "
             f"queries, expected exactly {n - 1}"
         )
-    depth = [0] + [UNREACHABLE] * (n - 1)
-    for v, d in depth_map.items():
-        depth[v] = d
     layering = layering_from_depths(depth)
 
     builder = GraphBuilder(n)

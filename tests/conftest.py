@@ -116,18 +116,23 @@ def capped_tree(g: Graph, layering, k: int, ell: int) -> LayeringTree:
     return tree
 
 
+def part_list(tree: LayeringTree) -> list[tuple[int, tuple[int, ...]]]:
+    """(layer, vertices) of every part, by id."""
+    return [(j, tuple(tree.vertices(p))) for p, j in enumerate(tree.layer)]
+
+
 def truncation(tree: LayeringTree, k: int) -> tuple[list, list[int]]:
-    """(parts, parents) of the tree restricted to layers 0..k.
+    """(part_list, parents) of the tree restricted to layers 0..k.
 
     Part ids follow (layer, min vertex) order, so these are list prefixes.
     """
-    m = sum(1 for p in tree.parts if p.layer <= k)
-    return tree.parts[:m], tree.parent[:m]
+    m = sum(1 for j in tree.layer if j <= k)
+    return part_list(tree)[:m], tree.parent[:m]
 
 
 def tree_neighbors(tree: LayeringTree, pid: int) -> list[int]:
     """Children of a part, then its parent if it has one."""
-    return tree.children[pid] + ([tree.parent[pid]] if tree.parent[pid] >= 0 else [])
+    return tree.children(pid) + ([tree.parent[pid]] if tree.parent[pid] >= 0 else [])
 
 
 def subtree_form(tree: LayeringTree, subset) -> tuple[int, tuple[int, ...]]:
@@ -135,7 +140,7 @@ def subtree_form(tree: LayeringTree, subset) -> tuple[int, tuple[int, ...]]:
     inside = set(subset)
     (top,) = [p for p in inside if tree.parent[p] not in inside]
     excluded = tuple(sorted(
-        c for p in inside for c in tree.children[p] if c not in inside
+        c for p in inside for c in tree.children(p) if c not in inside
     ))
     return top, excluded
 
@@ -143,7 +148,7 @@ def subtree_form(tree: LayeringTree, subset) -> tuple[int, tuple[int, ...]]:
 def connected_subsets(tree: LayeringTree) -> list[list[int]]:
     """Every nonempty connected set of parts, as a sorted list (small trees only)."""
     found: set[frozenset[int]] = set()
-    frontier = [frozenset([p]) for p in range(len(tree.parts))]
+    frontier = [frozenset([p]) for p in range(len(tree.layer))]
     while frontier:
         found.update(frontier)
         grown = set()

@@ -52,7 +52,7 @@ def reference_centroid(tree: LayeringTree, part_ids: Iterable[int]) -> int:
     best_worst = total + 1
     for pid in sorted(subset):
         worst = total - size[pid]
-        for q in tree.children[pid]:
+        for q in tree.children(pid):
             if q in subset:
                 worst = max(worst, size[q])
         if worst < best_worst:
@@ -96,9 +96,9 @@ class ReferenceSearch:
     def _rebuild(self) -> None:
         tree = self.tree
         self.cap = tree.cap
-        cap_parts = [pid for pid, p in enumerate(tree.parts) if p.layer == self.cap]
+        cap_parts = [pid for pid, j in enumerate(tree.layer) if j == self.cap]
         self._root = _SearchNode(
-            set(range(len(tree.parts))),
+            set(range(len(tree.layer))),
             len(cap_parts),
             cap_parts[0] if len(cap_parts) == 1 else -1,
         )
@@ -150,7 +150,7 @@ class ReferenceSearch:
             return
         pid = reference_centroid(self.tree, node.part_ids)
         node.pivot = pid
-        w = neighbors_of_set(self.prefix_graph, self.tree.parts[pid].vertices)
+        w = neighbors_of_set(self.prefix_graph, self.tree.vertices(pid))
         node.pivot_neighbors = sorted(w)
 
     def _ensure_split(self, node: _SearchNode) -> None:
@@ -174,7 +174,7 @@ class ReferenceSearch:
                         visited.add(r)
                         comp.append(r)
                         stack.append(r)
-            cap_parts = [q for q in comp if tree.parts[q].layer == cap]
+            cap_parts = [q for q in comp if tree.layer[q] == cap]
             child = _SearchNode(
                 set(comp),
                 len(cap_parts),

@@ -134,23 +134,23 @@ def _check_structure_suite(g: Graph, oracle: DistanceOracle) -> tuple[int, int]:
 
     # parts partition each layer
     for j, layer in enumerate(lay.layers):
-        flat = sorted(v for p in full.parts if p.layer == j for v in p.vertices)
+        flat = sorted(v for p, jp in enumerate(full.layer) if jp == j for v in full.vertices(p))
         assert flat == sorted(layer)
 
     # part sizes within the degree-growth bound
     part_cap = delta ** (ell + 1)
-    for p in full.parts:
-        assert len(p.vertices) <= part_cap
+    for p in range(len(full.layer)):
+        assert len(full.vertices(p)) <= part_cap
 
     # window connectivity: each part is connected within its layer window
-    for p in full.parts:
-        window = {v for v in range(n) if p.layer <= depth[v] <= p.layer + ell + 1}
+    for p, j in enumerate(full.layer):
+        window = {v for v in range(n) if j <= depth[v] <= j + ell + 1}
         labels = brute_components(g, window)
-        assert len({labels[v] for v in p.vertices}) == 1
+        assert len({labels[v] for v in full.vertices(p)}) == 1
 
     # the centroid walk finds the reference centroid of the full part tree
     # from every start; it halves the tree and is internal for three or more
-    subset = list(range(len(full.parts)))
+    subset = list(range(len(full.layer)))
     pid = reference_centroid(full, subset)
     assert all(centroid(full, 0, (), start) == pid for start in subset)
     rest = set(subset) - {pid}
@@ -180,8 +180,8 @@ def _check_structure_suite(g: Graph, oracle: DistanceOracle) -> tuple[int, int]:
 
         alive = {v for v in range(n) if depth[v] >= k}
         labels = brute_components(g, alive)
-        layer_k = [pid2 for pid2, p in enumerate(full.parts) if p.layer == k]
-        label_of_part = {pid2: labels[full.parts[pid2].vertices[0]] for pid2 in layer_k}
+        layer_k = [pid2 for pid2, j in enumerate(full.layer) if j == k]
+        label_of_part = {pid2: labels[full.vertices(pid2)[0]] for pid2 in layer_k}
 
         # comp sizes obey the degree-growth bound for every usable horizon
         by_label_depth: dict[int, dict[int, int]] = {}
@@ -218,7 +218,7 @@ def _check_structure_suite(g: Graph, oracle: DistanceOracle) -> tuple[int, int]:
             assert centroid(tree, top, excluded, top) == node.pivot
             if node.child_by_part is not None:
                 stack.extend({id(c): c for c in node.child_by_part.values()}.values())
-    return len(full.parts), anc_checks
+    return len(full.layer), anc_checks
 
 
 def test_criterion_4_structure_suites(corpus_runs):

@@ -73,6 +73,33 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^duplicate edge \(0,1\)$"):
             b.to_graph()
 
+    def test_builder_names_the_same_repeated_pair_as_graph(self):
+        # repeats at vertices 1 and 3: both name the least pair
+        edges = [(4, 3), (0, 2), (3, 4), (2, 1), (1, 2)]
+        b = GraphBuilder(5)
+        for u, v in edges:
+            b.add_edge(u, v)
+        with pytest.raises(ValueError, match=r"^duplicate edge \(1,2\)$"):
+            Graph(5, edges)
+        with pytest.raises(ValueError, match=r"^duplicate edge \(1,2\)$"):
+            b.to_graph()
+
+    def test_random_builders_freeze_to_the_graph_of_their_edges(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            n = rng.randint(0, 30)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                     for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
+            b = GraphBuilder(n)
+            for u, v in edges:
+                b.add_edge(u, v)
+            g = b.to_graph()
+            assert g == Graph(n, edges)
+            assert all(type(a) is tuple for a in g.adj)
+            # the graph keeps the builder's own lists, frozen: no second copy
+            assert all(x is y for x, y in zip(g.adj, b.adj))
+
     @pytest.mark.parametrize("u, v, bad", [(0, 5, 5), (0, -1, -1), (3, 1, 3)])
     def test_builder_rejects_out_of_range_vertex(self, u, v, bad):
         b = GraphBuilder(3)

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -23,6 +24,7 @@ from .conftest import (
     brute_components,
     capped_tree,
     connected_subsets,
+    part_list,
     prefix_graph,
     random_graph,
     subtree_form,
@@ -50,6 +52,30 @@ C6_LAY = build_layering(C6, 0)
 
 def random_tree(rng, n):
     return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def child_lists(tree):
+    """Each part's children read off the parent pointers, in id order."""
+    kids = [[] for _ in tree.layer]
+    for c, p in enumerate(tree.parent):
+        if p >= 0:
+            kids[p].append(c)
+    return kids
+
+
+def container_bytes(obj, seen):
+    """Bytes of obj and of every container it reaches. Ints are left out:
+    vertex ids are shared with the layering, and part ids with the tree."""
+    if isinstance(obj, int) or id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    else:
+        items = [getattr(obj, s) for s in getattr(type(obj), "__slots__", ())]
+    return sys.getsizeof(obj) + sum(container_bytes(x, seen) for x in items)
 
 
 class TestLayering:
@@ -96,7 +122,7 @@ class TestLayering:
 class TestLayeringTree:
     def test_c6_is_a_path_of_four_parts(self):
         tree = build_layering_tree(C6, C6_LAY)
-        assert [(p.layer, p.vertices) for p in tree.parts] == [
+        assert part_list(tree) == [
             (0, (0,)),
             (1, (1, 5)),
             (2, (2, 4)),
@@ -104,11 +130,19 @@ class TestLayeringTree:
         ]
         assert tree.parent == [-1, 0, 1, 2]
 
-    def test_parts_keep_their_fields_in_slots(self):
-        # no attribute dict per part: a part holds its two fields only
-        part = build_layering_tree(C6, C6_LAY).parts[1]
-        assert not hasattr(part, "__dict__")
-        assert (part.layer, part.vertices) == (1, (1, 5))
+    @pytest.mark.parametrize("family", ["random-tree", "caterpillar"])
+    def test_tree_stays_lean(self, family):
+        # Nearly every part of these trees is one vertex; a part object with a
+        # vertex tuple and a children list took 215 to 222 bytes a part. `caps`
+        # is left out: it holds the counts of the last layer's parts and their
+        # ancestors, rebuilt per layer, and a caterpillar's chain of ancestors
+        # alone adds 18 bytes a part.
+        g, _ = generate(FamilySpec(family=family, n=2048, max_degree=4, seed=0))
+        tree = build_layering_tree(g, build_layering(g, 0))
+        seen = set()
+        kept = sum(container_bytes(getattr(tree, s), seen)
+                   for s in LayeringTree.__slots__ if s != "caps")
+        assert kept / len(tree.layer) <= 80
 
     def test_tree_graph_parts_are_singletons(self):
         rng = random.Random(4)
@@ -117,13 +151,13 @@ class TestLayeringTree:
             for root in range(0, n, max(1, n // 3)):
                 lay = build_layering(g, root)
                 tree = build_layering_tree(g, lay)
-                assert all(len(p.vertices) == 1 for p in tree.parts)
-                assert len(tree.parts) == n
+                assert all(len(vs) == 1 for _, vs in part_list(tree))
+                assert len(tree.layer) == n
 
     def test_path_rooted_in_middle_splits_layer(self):
         lay = build_layering(path(5), 2)
         tree = build_layering_tree(path(5), lay)
-        layer1 = [p.vertices for p in tree.parts if p.layer == 1]
+        layer1 = [vs for j, vs in part_list(tree) if j == 1]
         assert sorted(layer1) == [(1,), (3,)]
 
     def test_structural_invariants_on_random_graphs(self):
@@ -135,15 +169,17 @@ class TestLayeringTree:
             tree = build_layering_tree(g, lay)
             # parts partition each layer
             for j, layer in enumerate(lay.layers):
-                shards = [p.vertices for p in tree.parts if p.layer == j]
+                shards = [vs for jp, vs in part_list(tree) if jp == j]
                 flat = sorted(v for vs in shards for v in vs)
                 assert flat == sorted(layer)
             # connected tree over parts
-            assert sum(1 for pid in range(len(tree.parts)) if tree.parent[pid] >= 0) == len(tree.parts) - 1
+            assert sum(1 for pid in range(len(tree.layer)) if tree.parent[pid] >= 0) == len(tree.layer) - 1
             # every tree edge spans consecutive layers
             for pid, par in enumerate(tree.parent):
                 if par >= 0:
-                    assert tree.parts[pid].layer == tree.parts[par].layer + 1
+                    assert tree.layer[pid] == tree.layer[par] + 1
+            # children are the parts whose parent each part is, in id order
+            assert [tree.children(p) for p in range(len(tree.layer))] == child_lists(tree)
             # every graph edge stays inside a part or joins part and parent
             for u, v in g.edges():
                 pu, pv = tree.vertex_to_part[u], tree.vertex_to_part[v]
@@ -159,18 +195,19 @@ class TestLayeringTree:
         tree = LayeringTree(g.n)
         for k in range(lay.num_layers):
             tree.append_layer(k, {v: labels[v] for v in lay.layers[k]}, lay, g)
-            size = [0] * len(tree.parts)
-            caps = [[0, 0] for _ in tree.parts]
-            for q, part in enumerate(tree.parts):
+            size = [0] * len(tree.layer)
+            caps = [[0, 0] for _ in tree.layer]
+            for q, j in enumerate(tree.layer):
                 p = q
                 while p >= 0:
                     size[p] += 1
-                    if part.layer == k:
+                    if j == k:
                         caps[p][0] += 1
                         caps[p][1] += q
                     p = tree.parent[p]
             assert tree.size == size
-            assert [list(tree.caps.get(p, (0, 0))) for p in range(len(tree.parts))] == caps
+            assert [list(tree.caps.get(p, (0, 0))) for p in range(len(tree.layer))] == caps
+            assert [tree.children(p) for p in range(len(tree.layer))] == child_lists(tree)
 
 
 class TestTreeLength:
@@ -199,12 +236,12 @@ class TestExtendPartialTree:
 
     def test_c6_cap_one(self):
         tree = capped_tree(C6, C6_LAY, 1, 2)
-        assert [(p.layer, p.vertices) for p in tree.parts] == [(0, (0,)), (1, (1, 5))]
+        assert part_list(tree) == [(0, (0,)), (1, (1, 5))]
         assert tree.parent == [-1, 0]
 
     def test_cap_zero(self):
         tree = capped_tree(C6, C6_LAY, 0, 2)
-        assert [(p.layer, p.vertices) for p in tree.parts] == [(0, (0,))]
+        assert part_list(tree) == [(0, (0,))]
 
     def test_precondition_rejected(self):
         # layers join the capped tree one at a time, in order
@@ -304,7 +341,7 @@ class TestCentroid:
         g = star(4)
         lay = build_layering(g, 0)
         tree = build_layering_tree(g, lay)
-        subset = list(range(len(tree.parts)))
+        subset = list(range(len(tree.layer)))
         # exhaustive check: the winner minimizes the worst component size
         scores = {pid: max(split_sizes(tree, subset, pid)) for pid in subset}
         assert check_walk(tree, subset) == 0
@@ -317,7 +354,7 @@ class TestCentroid:
             g = random_tree(rng, n)
             lay = build_layering(g, 0)
             tree = build_layering_tree(g, lay)
-            subset = list(range(len(tree.parts)))
+            subset = list(range(len(tree.layer)))
             pid = check_walk(tree, subset)
             if len(subset) >= 3:
                 deg = sum(1 for q in tree_neighbors(tree, pid) if q in subset)
@@ -360,14 +397,14 @@ class TestCompAndAnc:
     def test_anc_c6_vertex_three(self):
         tree = capped_tree(C6, C6_LAY, 0, 2)
         part_of = _grow_tree(tree, C6_LAY, C6, 1, 2)
-        assert tree.parts[part_of[3]].vertices == (1, 5)
+        assert tree.vertices(part_of[3]) == [1, 5]
 
     def test_anc_path_chain(self):
         g = path(5)
         lay = build_layering(g, 0)
         tree = capped_tree(g, lay, 2, 0)
         pid, _, _ = _AncestorSearch(tree, g).locate(4, DistanceOracle(g))
-        assert tree.parts[pid].vertices == (2,)
+        assert tree.vertices(pid) == [2]
 
     def test_anc_agrees_with_brute_components(self):
         rng = random.Random(8)
@@ -385,7 +422,7 @@ class TestCompAndAnc:
                 for u in range(n):
                     if k <= lay.depth[u] < k + ell + 2:
                         pid = part_of[u]
-                        assert brute[tree.parts[pid].vertices[0]] == brute[u]
+                        assert brute[tree.vertices(pid)[0]] == brute[u]
 
 
 class TestStructureBounds:
@@ -398,7 +435,7 @@ class TestStructureBounds:
             tree = build_layering_tree(g, lay)
             ell = tree_length(g, tree)
             cap = max_degree(g) ** (ell + 1)
-            assert all(len(p.vertices) <= cap for p in tree.parts)
+            assert all(len(vs) <= cap for _, vs in part_list(tree))
 
     def test_window_connectivity(self):
         rng = random.Random(45)
@@ -408,12 +445,12 @@ class TestStructureBounds:
             lay = build_layering(g, 0)
             tree = build_layering_tree(g, lay)
             ell = tree_length(g, tree)
-            for p in tree.parts:
+            for j, vs in part_list(tree):
                 window = {
                     v
                     for v in range(n)
-                    if p.layer <= lay.depth[v] <= p.layer + ell + 1
+                    if j <= lay.depth[v] <= j + ell + 1
                 }
                 labels = brute_components(g, window)
-                roots = {labels[v] for v in p.vertices}
+                roots = {labels[v] for v in vs}
                 assert len(roots) == 1

@@ -54,7 +54,6 @@ NOT_EXPORTED = [
     "components_masked",
     "neighbors_of_set",
     "layering_from_depths",
-    "Part",
     "SplitMix64",
     "UNREACHABLE",
 ]

@@ -108,7 +108,7 @@ class TestFindAncestorPart:
         tree = capped_tree(g, lay, k, 0)
         o = DistanceOracle(g)
         pid, cost, rounds = _AncestorSearch(tree, prefix_graph(g, lay, i)).locate(4, o)
-        assert tree.parts[pid].vertices == (2,)
+        assert tree.vertices(pid) == [2]
         assert cost == rounds == o.ledger.distinct_queries == 0
 
     def test_matches_brute_force_on_500_random_instances(self):
@@ -133,7 +133,7 @@ class TestFindAncestorPart:
                 for x in lay.layers[i]:
                     pid, _, _ = search.locate(x, o)
                     expect = brute_anc(g, lay.depth, x, k)
-                    assert frozenset(tree.parts[pid].vertices) == expect
+                    assert frozenset(tree.vertices(pid)) == expect
                     checked += 1
         assert checked > 1000
 
@@ -166,7 +166,7 @@ class TestFindAncestorPart:
             # node parts are read off the parent pointers, not the counts
             def parts_of(node):
                 out = set()
-                for p in range(len(tree.parts)):
+                for p in range(len(tree.layer)):
                     chain_up = [p]
                     while tree.parent[chain_up[-1]] >= 0:
                         chain_up.append(tree.parent[chain_up[-1]])
