@@ -27,7 +27,6 @@ from .layering import (
     Layering,
     LayeringInvariantError,
     LayeringTree,
-    PartialTreeError,
     build_layering,
     build_layering_tree,
     tree_length,
@@ -63,7 +62,6 @@ __all__ = [
     "LayeringInvariantError",
     "LayeringTree",
     "LayerTrace",
-    "PartialTreeError",
     "QueryLedger",
     "QueryPhase",
     "RANDOM_TREE",

@@ -8,9 +8,9 @@ the tree keeps its parts in flat per-part arrays, with no object per part.
 
 build_layering_tree builds the full tree of a completely known graph (ground
 truth for tests and benchmarks). The reconstruction grows a depth-capped tree
-one layer at a time with LayeringTree.append_layer, from component labels of
-the known prefix; part ids are assigned so that both agree exactly on the
-layers they share.
+one layer at a time: LayeringTree.append_layer adds layer cap + 1 from
+component labels of the known prefix. Part ids are assigned so that both
+agree exactly on the layers they share.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from operator import index
 from typing import Collection, Sequence
 
 from .graph import GraphLike, UNREACHABLE, bfs_distances
-
-
-class PartialTreeError(ValueError):
-    """Precondition failure while building or extending a capped tree."""
 
 
 class ReconstructionError(RuntimeError):
@@ -88,7 +84,7 @@ def build_layering(g: GraphLike, s: int) -> Layering:
 
 
 class LayeringTree:
-    """Tree over layer parts, complete through layer `cap`.
+    """Tree over layer parts, complete through layer `cap`; append_layer adds cap + 1.
 
     Part ids are assigned in (layer, min vertex id) order, so ids of a capped
     tree match the ids of the full tree truncated at the same depth.
@@ -141,19 +137,17 @@ class LayeringTree:
 
     def append_layer(
         self,
-        k: int,
         labels: dict[int, int],
         layering: Layering,
         prefix_graph: GraphLike,
     ) -> dict[int, int]:
-        """Add the parts of layer k, grouping that layer by component label;
-        return {label: part id} for the new parts, in id order.
+        """Add the parts of layer k = cap + 1, grouping that layer by component
+        label; return {label: part id} for the new parts, in id order.
 
         `labels` must cover every vertex of layer k (a components_masked pass
         over a window of layers starting at k).
         """
-        if k != self.cap + 1:
-            raise PartialTreeError(f"cannot append layer {k} to a tree capped at {self.cap}")
+        k = self.cap + 1
         groups: dict[int, list[int]] = {}
         for v in layering.layers[k]:
             groups.setdefault(labels[v], []).append(v)
@@ -259,8 +253,8 @@ def build_layering_tree(g: GraphLike, layering: Layering) -> LayeringTree:
                         parent[ru] = rw
         labels.append({v: find(v) for v in layer})
     tree = LayeringTree(n)
-    for k, layer_labels in enumerate(reversed(labels)):
-        tree.append_layer(k, layer_labels, layering, g)
+    for layer_labels in reversed(labels):
+        tree.append_layer(layer_labels, layering, g)
     return tree
 
 

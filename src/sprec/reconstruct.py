@@ -228,42 +228,41 @@ class _AncestorSearch:
 
 
 def _grow_tree(
-    tree: LayeringTree, layering: Layering, prefix_graph: GraphLike, k: int, ell: int
+    tree: LayeringTree, layering: Layering, prefix_graph: GraphLike, ell: int
 ) -> dict[int, int]:
-    """Append the parts of layer k to the capped tree; return the layer-k part
-    of each vertex of the window k..k+ell+1, or -1 where its window component
-    never reaches layer k.
+    """Append the parts of layer k = cap + 1 to the capped tree; return the
+    layer-k part of each vertex of the window k..k+ell+1, or -1 where its
+    window component never reaches layer k.
 
     Vertices that share a part at layer k are already connected inside the
     known layers k..k+ell+1 when ell bounds the part diameter, so the masked
     components of that window group layer k exactly as the full graph does.
     """
+    k = tree.cap + 1
     window = [v for layer in layering.layers[k : k + ell + 2] for v in layer]
     labels = components_masked(prefix_graph, window)
-    part_of_label = tree.append_layer(k, labels, layering, prefix_graph)
+    part_of_label = tree.append_layer(labels, layering, prefix_graph)
     return {v: part_of_label.get(label, -1) for v, label in labels.items()}
 
 
 def _extend_layer(
-    builder: GraphBuilder,
     layering: Layering,
     search: _AncestorSearch,
-    i: int,
     ell: int,
     oracle: DistanceOracle,
     max_degree: int | None,
     strict: bool,
 ) -> LayerTrace:
-    """Find the edges incident to layer i given the prefix below it.
+    """Find the edges incident to layer i and add them to search.prefix_graph.
 
-    Caps the tree at layer i - ell - 2, locates the capped-layer ancestor part
-    of every new vertex, then queries each new vertex against the previous
-    and current layer vertices below the same part. New edges go to builder.
+    Appends layer cap + 1 = i - ell - 2 to the search's tree, locates the
+    capped-layer ancestor part of every layer-i vertex, then queries each
+    against the previous and current layer vertices below the same part.
     """
-    k = i - ell - 2
-    tree = search.tree
+    tree, builder = search.tree, search.prefix_graph
+    i = tree.cap + ell + 3
     first = len(tree.layer)
-    part_of = _grow_tree(tree, layering, builder, k, ell)
+    part_of = _grow_tree(tree, layering, builder, ell)
     layers = layering.layers
     if max_degree is not None:
         part_limit = max_degree ** (ell + 1)
@@ -271,7 +270,7 @@ def _extend_layer(
             size = len(tree.vertices(pid))
             if size > part_limit:
                 raise InvariantViolation(
-                    f"part at layer {k} has {size} vertices, above the bound "
+                    f"part at layer {tree.cap} has {size} vertices, above the bound "
                     f"{part_limit}; the diameter bound is likely too small"
                 )
     if -1 in part_of.values():
@@ -402,8 +401,8 @@ def reconstruct(
 
     search = _AncestorSearch(LayeringTree(n), builder)
     trace = [
-        _extend_layer(builder, layering, search, i, ell, oracle, delta, strict)
-        for i in range(ell + 2, layering.num_layers)
+        _extend_layer(layering, search, ell, oracle, delta, strict)
+        for _ in range(ell + 2, layering.num_layers)
     ]
     del search  # the pivot and part trees go before the output graph is built
 

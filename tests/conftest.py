@@ -111,8 +111,8 @@ def prefix_graph(g: Graph, layering, known_layers: int) -> Graph:
 def capped_tree(g: Graph, layering, k: int, ell: int) -> LayeringTree:
     """Layering tree through layer k, grown layer by layer as reconstruct grows it."""
     tree = LayeringTree(g.n)
-    for j in range(k + 1):
-        _grow_tree(tree, layering, g, j, ell)
+    for _ in range(k + 1):
+        _grow_tree(tree, layering, g, ell)
     return tree
 
 

@@ -174,7 +174,7 @@ def _check_structure_suite(g: Graph, oracle: DistanceOracle) -> tuple[int, int]:
     anc_checks = 0
     tree = LayeringTree(n)
     for k in range(0, lay.num_layers - ell - 2):
-        _grow_tree(tree, lay, g, k, ell)
+        _grow_tree(tree, lay, g, ell)
         # truncation equivalence against the ground-truth tree
         assert truncation(tree, k) == truncation(full, k)
 

@@ -10,7 +10,6 @@ from sprec import (
     Graph,
     LayeringInvariantError,
     LayeringTree,
-    PartialTreeError,
     build_layering,
     build_layering_tree,
     generate,
@@ -194,7 +193,7 @@ class TestLayeringTree:
         labels = build_layering_tree(g, lay).vertex_to_part  # component labels
         tree = LayeringTree(g.n)
         for k in range(lay.num_layers):
-            tree.append_layer(k, {v: labels[v] for v in lay.layers[k]}, lay, g)
+            tree.append_layer({v: labels[v] for v in lay.layers[k]}, lay, g)
             size = [0] * len(tree.layer)
             caps = [[0, 0] for _ in tree.layer]
             for q, j in enumerate(tree.layer):
@@ -243,12 +242,6 @@ class TestExtendPartialTree:
         tree = capped_tree(C6, C6_LAY, 0, 2)
         assert part_list(tree) == [(0, (0,))]
 
-    def test_precondition_rejected(self):
-        # layers join the capped tree one at a time, in order
-        tree = capped_tree(C6, C6_LAY, 0, 2)
-        with pytest.raises(PartialTreeError):
-            _grow_tree(tree, C6_LAY, C6, 2, 2)
-
     def test_part_without_a_neighbor_one_layer_up_raises(self):
         # the prefix graph lacks the edge (0, 1), so part [1] hangs from nothing
         g = path(8)
@@ -256,7 +249,7 @@ class TestExtendPartialTree:
         tree = capped_tree(g, lay, 0, 2)
         with pytest.raises(LayeringInvariantError,
                            match=r"^part \[1\] at layer 1 has no neighbor one layer up$"):
-            tree.append_layer(1, {1: 1}, lay, Graph(8, [(1, 2)]))
+            tree.append_layer({1: 1}, lay, Graph(8, [(1, 2)]))
 
     def test_truncation_equivalence_from_real_prefixes(self):
         rng = random.Random(3)
@@ -283,7 +276,7 @@ class TestExtendPartialTree:
             pytest.skip("instance too shallow for an incremental walk")
         tree = LayeringTree(g.n)
         for k in range(0, max_k):
-            _grow_tree(tree, lay, g, k, ell)
+            _grow_tree(tree, lay, g, ell)
             assert truncation(tree, k) == truncation(full, k)
 
 
@@ -391,12 +384,12 @@ class TestCompAndAnc:
 
     def test_anc_at_cap_is_own_part(self):
         tree = capped_tree(C6, C6_LAY, 0, 2)
-        part_of = _grow_tree(tree, C6_LAY, C6, 1, 2)
+        part_of = _grow_tree(tree, C6_LAY, C6, 2)
         assert part_of[5] == tree.vertex_to_part[5]
 
     def test_anc_c6_vertex_three(self):
         tree = capped_tree(C6, C6_LAY, 0, 2)
-        part_of = _grow_tree(tree, C6_LAY, C6, 1, 2)
+        part_of = _grow_tree(tree, C6_LAY, C6, 2)
         assert tree.vertices(part_of[3]) == [1, 5]
 
     def test_anc_path_chain(self):
@@ -416,7 +409,7 @@ class TestCompAndAnc:
             ell = tree_length(g, full)
             tree = LayeringTree(n)
             for k in range(0, max(0, lay.num_layers - ell - 2)):
-                part_of = _grow_tree(tree, lay, g, k, ell)
+                part_of = _grow_tree(tree, lay, g, ell)
                 alive = {v for v in range(n) if lay.depth[v] >= k}
                 brute = brute_components(g, alive)
                 for u in range(n):

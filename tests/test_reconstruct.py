@@ -128,7 +128,7 @@ class TestFindAncestorPart:
             tree = LayeringTree(g.n)
             for k in range(0, lay.num_layers - ell - 2):
                 i = k + ell + 2
-                _grow_tree(tree, lay, g, k, ell)
+                _grow_tree(tree, lay, g, ell)
                 search = _AncestorSearch(tree, prefix_graph(g, lay, i))
                 for x in lay.layers[i]:
                     pid, _, _ = search.locate(x, o)
@@ -276,10 +276,10 @@ class TestExtendOneLayer:
         prefix = GraphBuilder(g.n)
         prefix.add_edge(0, 1)
         search = _AncestorSearch(LayeringTree(g.n), prefix)
-        _grow_tree(search.tree, lay, prefix, 0, 0)
+        _grow_tree(search.tree, lay, prefix, 0)
         oracle = DistanceOracle(g)
         with pytest.raises(InvariantViolation, match="disconnected from every capped-layer part"):
-            _extend_layer(prefix, lay, search, 3, 0, oracle, 2, True)
+            _extend_layer(lay, search, 0, oracle, 2, True)
         assert oracle.ledger.distinct_queries == 0  # raised before any query
 
     @pytest.mark.parametrize("strict, error, message", [
@@ -299,9 +299,9 @@ class TestExtendOneLayer:
         for u, v in prefix_graph(g, lay, 3).edges():
             prefix.add_edge(u, v)
         search = _AncestorSearch(LayeringTree(g.n), prefix)
-        _grow_tree(search.tree, lay, prefix, 0, 0)
+        _grow_tree(search.tree, lay, prefix, 0)
         with pytest.raises(error, match=f"^{message}"):
-            _extend_layer(prefix, lay, search, 3, 0, DistanceOracle(g), 1, strict)
+            _extend_layer(lay, search, 0, DistanceOracle(g), 1, strict)
 
     def test_ring_of_cliques_is_covered_by_bootstrap(self):
         # With the measured diameter bound, a clique ring's layer count never
