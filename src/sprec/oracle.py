@@ -16,11 +16,12 @@ All balls share one dense list, each marking d(s, x) as base + d above the
 marks of the balls before it, so no batch allocates or clears n entries. A
 single query reads exact 2-hop distance labels of the hidden graph: pruned
 landmark labels (Akiba, Iwata and Yoshida, SIGMOD 2013), built at the first
-single query by one pruned BFS per vertex, each a hub tuple and its
-distances as bytes (a tuple if one is 256 or more). One vertex's label is
-held, spread over an n-entry hub array, so a pair with a held end reads one
-label: the ancestor search, asking (w, x) for many w, loads x once per
-descent.
+single query by one pruned BFS per vertex into two arrays per vertex, then
+kept in three flat arrays: every vertex's hubs in turn, their distances in
+step, and n + 1 offsets; about 5.5 bytes per entry, no object per vertex.
+One vertex's label is held, spread over an n-entry hub array, so a pair
+with a held end reads one label, one slice of each array: the ancestor
+search, asking (w, x) for many w, loads x once per descent.
 Vertices are ranked by a centroid decomposition of a BFS tree of the hidden
 graph from vertex 0. Labels are exact under any order; this one keeps them
 near log2 n entries per vertex on bounded-treelength graphs: at n=8192, 8.1
@@ -141,7 +142,7 @@ class DistanceOracle:
         self._partners: list[array | bytearray] | None = None
         self._id_code = "H" if self.n <= 1 << 16 else "i"
         self._dense = (self.n + 7 >> 3) // array(self._id_code).itemsize
-        self._labels: list[list[tuple[int, ...] | bytes]] | None = None  # [hubs, dists]
+        self._labels: list[array] | None = None  # [hubs, dists, ends]
         self._via: list[int] = []  # the held hub array, or past the budget BFS row
         self._held = -1  # the vertex it holds, none until a query
         self._last = -1  # past the budget, the previous pair's other end
@@ -294,6 +295,7 @@ class DistanceOracle:
         Holding x, via[h] is d(h, x) for each hub h of x and n elsewhere, so
         the least via[h] + d(h, w) over w's hubs h is d(w, x): the labels
         share a hub on a shortest path, and one of w's alone adds at least n.
+        A label is read as one slice of the flat hubs and of the flat dists.
         """
         ball = self._ball
         if ball is not None and ball[0] == u and v in ball[1]:
@@ -310,15 +312,17 @@ class DistanceOracle:
                 self.stats.visited += self.n  # the hidden graph is connected
             self._last = w = v if u == x else u
             return self._via[w]
-        (hubs, dists), via, x = labels, self._via, self._held
+        (hubs, dists, ends), via, x = labels, self._via, self._held
         if x != u and x != v:
-            for h in hubs[x]:  # x = -1 resets hubs[n - 1], all n already
+            for h in hubs[ends[x]:ends[x + 1]]:  # x = -1 slices [entries:0], empty
                 via[h] = self.n
-            for h, d in zip(hubs[v], dists[v]):
+            a, b = ends[v], ends[v + 1]
+            for h, d in zip(hubs[a:b], dists[a:b]):
                 via[h] = d
             self._held = x = v
         w = v if u == x else u
-        return min(map(add, map(via.__getitem__, hubs[w]), dists[w]))
+        a, b = ends[w], ends[w + 1]
+        return min(map(add, map(via.__getitem__, hubs[a:b]), dists[a:b]))
 
     def _grow(self, s: int, pending: list[int], row: list[int], base: int) -> int:
         """Grows a batch's ball: marks d(s, x) as base + d in row, entries
@@ -345,11 +349,12 @@ class DistanceOracle:
         self.stats.visited += held
         return level
 
-    def _build_labels(self) -> list[list[tuple[int, ...] | bytes]]:
-        """Pruned landmark labels of the hidden graph, [hubs, dists] with u's
-        hubs as a tuple and its distances to them in step, as bytes when all
-        are below 256 (reading bytes gives the same ints), else a tuple; or []
-        past the budget.
+    def _build_labels(self) -> list[array]:
+        """Pruned landmark labels of the hidden graph, [hubs, dists, ends], or
+        [] past the budget: u's hubs are hubs[ends[u]:ends[u + 1]] and its
+        distances to them the same slice of dists. Both grow as two arrays
+        per vertex in the ledger's id typecode (every distance is below n),
+        then move a vertex at a time into the flat ones.
 
         Vertices r are taken in _separator_order; the BFS from r does not
         label or expand a vertex u at distance d when a hub ranked before r
@@ -357,15 +362,17 @@ class DistanceOracle:
         d(u, h) + d(h, v) over the hubs h that u's and v's labels share.
         """
         start = time.perf_counter()
-        n, adj, stats = self.n, self.hidden.adj, self.stats
+        n, adj, stats, code = self.n, self.hidden.adj, self.stats, self._id_code
         budget = _LABEL_BUDGET * n * (n - 1).bit_length()
-        labels: list = [{} for _ in range(n)]  # hub -> distance while built
+        hubs = [array(code) for _ in range(n)]
+        dists = [array(code) for _ in range(n)]
         via = [n] * n  # d(r, h) for each hub h of the root r's label, else n
         mark = [-1] * n  # the last root whose BFS reached the vertex
+        labels: list[array] = []
         entries = visits = 0
         for r in _separator_order(self.hidden):
-            lr = labels[r]
-            for h, dh in lr.items():
+            hr = hubs[r]
+            for h, dh in zip(hr, dists[r]):
                 via[h] = dh
             mark[r] = r
             frontier, d = [r], 0
@@ -373,10 +380,11 @@ class DistanceOracle:
                 visits += len(frontier)
                 nxt = []
                 for u in frontier:
-                    lu = labels[u]
-                    if lu and min(map(add, map(via.__getitem__, lu), lu.values())) <= d:
+                    hu = hubs[u]
+                    if hu and min(map(add, map(via.__getitem__, hu), dists[u])) <= d:
                         continue
-                    lu[r] = d
+                    hu.append(r)
+                    dists[u].append(d)
                     entries += 1
                     for w in adj[u]:
                         if mark[w] != r:
@@ -384,18 +392,19 @@ class DistanceOracle:
                             nxt.append(w)
                 frontier = nxt
                 d += 1
-            for h in lr:
+            for h in hr:
                 via[h] = n
             if entries > budget:
-                labels = []
                 break
         else:
-            dists = [()] * n
-            for u, lu in enumerate(labels):  # a vertex at a time: no full second copy
-                ds = lu.values()
-                labels[u] = tuple(lu)
-                dists[u] = bytes(ds) if max(ds) < 256 else tuple(ds)
-            labels, self._via, self._held = [labels, dists], via, -1
+            flat_h, flat_d = array(code), array(code)
+            ends = array("I", [0])  # the budget holds entries under 2**32 to n = 2**25
+            for u in range(n):  # a vertex at a time: no full second copy
+                flat_h += hubs[u]
+                flat_d += dists[u]
+                ends.append(len(flat_h))
+                hubs[u] = dists[u] = None
+            labels, self._via, self._held = [flat_h, flat_d, ends], via, -1
         stats.label_entries += entries
         stats.label_visits += visits
         stats.label_seconds += time.perf_counter() - start

@@ -117,9 +117,10 @@ class _AncestorSearch:
     walk is short; the node keeps its children while its pivot stays. Pivot
     neighbourhoods are read once per part: a part becomes a pivot only after
     the layer below it is complete, so its edges are all known by then.
+    prefix_graph is the run's GraphBuilder: the layer step adds edges to it.
     """
 
-    def __init__(self, tree: LayeringTree, prefix_graph: GraphLike):
+    def __init__(self, tree: LayeringTree, prefix_graph: GraphBuilder):
         self.tree = tree
         self.prefix_graph = prefix_graph
         self._root = _PivotNode(0, ())
@@ -135,6 +136,7 @@ class _AncestorSearch:
         """
         tree = self.tree
         ledger = oracle.ledger
+        query, phase = oracle.query, QueryPhase.ANCESTOR_SEARCH
         before = ledger.distinct_queries
         rounds = 0
         node = self._root
@@ -160,7 +162,7 @@ class _AncestorSearch:
                 # The labels hold x for its whole descent and read w's label
                 # alone; past their budget x's complete BFS row is held
                 # through the descent instead, and read at w.
-                d = oracle.query(w, x, QueryPhase.ANCESTOR_SEARCH)
+                d = query(w, x, phase)
                 if best_w < 0 or d < best_d:
                     best_w, best_d = w, d
             if best_w < 0:

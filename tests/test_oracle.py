@@ -426,17 +426,17 @@ class TestDistanceLabels:
         # up, and 4 from 5: the path 3-2-1-0-5-4, whose centroid is 0
         assert oracle_module._separator_order(cycle(6)) == [0, 2, 5, 3, 1, 4]
 
-    def test_distance_rows_past_255_stay_tuples_and_both_kinds_are_exact(self):
-        # a vertex's distances are kept as bytes when all are below 256 and
-        # as a tuple otherwise; a cycle of 600 has both
+    def test_distances_past_255_are_exact(self):
+        # a cycle of 600 has labels with a distance of 256 or more and
+        # labels without; every vertex of the first kind, and a sample of
+        # the second, reads its whole BFS row from the labels
         hidden, _ = generate(FamilySpec(family="cycle", n=600, max_degree=2, seed=0))
         o = DistanceOracle(hidden)
         o._labels = o._build_labels()
-        dists = o._labels[1]
-        wide = [u for u, ds in enumerate(dists) if type(ds) is tuple]
-        narrow = [u for u, ds in enumerate(dists) if type(ds) is bytes]
-        assert wide and narrow and len(wide) + len(narrow) == hidden.n
-        assert all(max(dists[u]) >= 256 for u in wide)
+        _, dists, ends = o._labels
+        wide = [u for u in range(hidden.n) if max(dists[ends[u]:ends[u + 1]]) >= 256]
+        narrow = sorted(set(range(hidden.n)) - set(wide))
+        assert wide and narrow
         for u in wide + narrow[:: len(narrow) // 10][:10]:
             assert [o._distance(u, v) for v in range(hidden.n)] == bfs_distances(hidden, u)
 
@@ -778,8 +778,10 @@ class TestSimulatorWork:
         # bytes the labels retain per entry: a hub -> distance dict per
         # vertex held 47 to 54; a hub tuple and a distance tuple per vertex,
         # with the held hub array, 28 to 35; distances as bytes where all
-        # are below 256, 20.2 (2-tree) to 26.8 (random tree). The build
-        # itself is unchanged: the same entries from the same pruned BFSs
+        # are below 256, 20.2 (2-tree) to 26.8 (random tree); three flat
+        # arrays (hubs, distances, offsets) with no object per vertex, 5.3
+        # to 5.9. The build itself is unchanged: the same entries from the
+        # same pruned BFSs
         hidden, _ = generate(FamilySpec(family=family, n=n, max_degree=delta, k=k, seed=0))
         o = DistanceOracle(hidden)
         gc.collect()
@@ -793,7 +795,7 @@ class TestSimulatorWork:
             tracemalloc.stop()
         assert labels
         assert (o.stats.label_entries, o.stats.label_visits) == (entries, visits)
-        assert kept <= 30 * entries
+        assert kept <= 8 * entries
 
 
 class TestBudget:
