@@ -19,18 +19,17 @@ landmark labels (Akiba, Iwata and Yoshida, SIGMOD 2013), built at the first
 single query by one pruned BFS per vertex into two arrays per vertex, then
 kept in three flat arrays: every vertex's hubs in turn, their distances in
 step, and n + 1 offsets; about 5.5 bytes per entry, no object per vertex.
-One vertex's label is held, spread over an n-entry hub array, so a pair
-with a held end reads one label, one slice of each array: the ancestor
-search, asking (w, x) for many w, loads x once per descent.
 Vertices are ranked by a centroid decomposition of a BFS tree of the hidden
 graph from vertex 0. Labels are exact under any order; this one keeps them
 near log2 n entries per vertex on bounded-treelength graphs: at n=8192, 8.1
 on a random tree, 11.2 on a caterpillar and 14.2 to 14.6 on 2-trees. Graphs
 of large treelength get much larger labels, so the build stops once they
 hold more than _LABEL_BUDGET * n * ceil(log2 n) entries; single queries
-then read one held complete BFS row instead, of an end of the pair if one is
-held, else of the end the previous pair also had, else of v: a descent
-builds one row, and a loop over v with u fixed at most two.
+then read complete BFS rows instead. One vertex is held, as its label spread
+over an n-entry hub array or as its row; if neither end of a pair is held,
+the end the previous pair also had is held, else v. So the ancestor search,
+asking (w, x) for many w, loads x once per descent, and a loop over v with
+u fixed at most two.
 
 One oracle serves one reconstruction run; concurrent runs each get their own.
 """
@@ -116,11 +115,10 @@ class DistanceOracle:
     its distance, and the hidden side never builds an all-pairs table; the
     module docstring gives their costs. batch_distances_from(s, ...) has the
     ledger, log and answers of query(s, t) per target, charged in one pass.
-    query(u, v) reads the label of an end that is not held, holding v if
-    neither is; the labels are built at the first single query, so runs
-    that ask none pay nothing for them. Past their budget it reads the held
-    end's complete BFS row, holding the end the previous pair also had if
-    neither end is held, else v.
+    query(u, v) reads the label of the end that is not held or, past the
+    label budget, the held end's complete BFS row; if neither end is held it
+    holds the end the previous pair also had, else v. The labels are built
+    at the first single query, so runs that ask none pay nothing for them.
 
     Where query is overridden (a subclass, a wrapper), a batch calls it for
     every target and the batch's answers, taken from its ball first, answer
@@ -145,7 +143,7 @@ class DistanceOracle:
         self._labels: list[array] | None = None  # [hubs, dists, ends]
         self._via: list[int] = []  # the held hub array, or past the budget BFS row
         self._held = -1  # the vertex it holds, none until a query
-        self._last = -1  # past the budget, the previous pair's other end
+        self._last = -1  # the previous pair's end that was not held
         # all batch balls, built at the first batch: d(s, x) is marked as
         # base + d, and marks below _base are left from earlier balls
         self._marks: list[int] | None = None
@@ -172,23 +170,14 @@ class DistanceOracle:
             partners = self._partners = [array(self._id_code) for _ in range(n)]
         pu, pv = partners[u], partners[v]
         lu, lv, dense = len(pu), len(pv), self._dense  # a bitmap is longer
-        if lu < dense > lv:  # two arrays that stay arrays: scan the shorter
-            if (v in pu) if lu <= lv else (u in pv):
-                return self._distance(u, v)  # answered again, uncharged
-            d = self._distance(u, v)
+        if (pu[v >> 3] >> (v & 7) & 1 if lu > dense else pv[u >> 3] >> (u & 7) & 1
+                if lv > dense else (v in pu) if lu <= lv else (u in pv)):
+            return self._distance(u, v)  # answered again, uncharged
+        d = self._distance(u, v)
+        if lu < dense > lv:  # two arrays that stay arrays
             pu.append(v)
             pv.append(u)
-        elif lu > dense > lv:  # a bitmap at u, an array at v: most (w, x) asked
-            if pu[v >> 3] >> (v & 7) & 1:
-                return self._distance(u, v)
-            d = self._distance(u, v)
-            pu[v >> 3] |= 1 << (v & 7)
-            pv.append(u)
-        else:  # a bitmap at v, two bitmaps, or an array about to be one
-            if (pu[v >> 3] >> (v & 7) & 1 if lu > dense else pv[u >> 3] >> (u & 7) & 1
-                    if lv > dense else (v in pu) if lu <= lv else (u in pv)):
-                return self._distance(u, v)
-            d = self._distance(u, v)
+        else:  # a bitmap end, or an array about to be one
             self._add(u, (v,))
             self._add(v, (u,))
         ledger.distinct_queries += 1
@@ -292,10 +281,11 @@ class DistanceOracle:
     def _distance(self, u: int, v: int) -> int:
         """d(u, v), from the running batch's answers if it has one.
 
-        Holding x, via[h] is d(h, x) for each hub h of x and n elsewhere, so
-        the least via[h] + d(h, w) over w's hubs h is d(w, x): the labels
-        share a hub on a shortest path, and one of w's alone adds at least n.
-        A label is read as one slice of the flat hubs and of the flat dists.
+        One end x is held, by the module docstring's rule for labels and rows
+        alike: via is x's row, or via[h] is d(h, x) for each hub h of x and n
+        elsewhere, so the least via[h] + d(h, w) over w's hubs h is d(w, x):
+        the labels share a hub on a shortest path, and one of w's alone adds
+        at least n. A label is read as one slice of the flat hubs and dists.
         """
         ball = self._ball
         if ball is not None and ball[0] == u and v in ball[1]:
@@ -303,24 +293,24 @@ class DistanceOracle:
         labels = self._labels
         if labels is None:
             labels = self._labels = self._build_labels()
-        if not labels:  # past the budget: via is x's complete BFS row
-            x = self._held
-            if x != u and x != v:
-                self._held = x = u if u == self._last else v
-                self._via = bfs_distances(self.hidden, x)
+        hubs, dists, ends = labels or (None,) * 3  # none past the budget
+        via, x = self._via, self._held
+        if x != u and x != v:  # hold the end the previous pair also had, else v
+            x = u if u == self._last else v
+            if labels:  # spread x's label over via
+                for h in hubs[ends[self._held]:ends[self._held + 1]]:  # none: [entries:0]
+                    via[h] = self.n
+                a, b = ends[x], ends[x + 1]
+                for h, d in zip(hubs[a:b], dists[a:b]):
+                    via[h] = d
+            else:  # past the budget: via is x's complete BFS row
+                self._via = via = bfs_distances(self.hidden, x)
                 self.stats.fallback_rows += 1
                 self.stats.visited += self.n  # the hidden graph is connected
-            self._last = w = v if u == x else u
-            return self._via[w]
-        (hubs, dists, ends), via, x = labels, self._via, self._held
-        if x != u and x != v:
-            for h in hubs[ends[x]:ends[x + 1]]:  # x = -1 slices [entries:0], empty
-                via[h] = self.n
-            a, b = ends[v], ends[v + 1]
-            for h, d in zip(hubs[a:b], dists[a:b]):
-                via[h] = d
-            self._held = x = v
-        w = v if u == x else u
+            self._held = x
+        self._last = w = v if u == x else u
+        if not labels:
+            return via[w]
         a, b = ends[w], ends[w + 1]
         return min(map(add, map(via.__getitem__, hubs[a:b]), dists[a:b]))
 

@@ -3,7 +3,6 @@ import gc
 import io
 import random
 import tracemalloc
-from array import array
 from unittest import mock
 
 import pytest
@@ -353,33 +352,58 @@ class TestPartnerRows:
     def test_rows_switch_in_batches_and_in_a_query(self):
         o = DistanceOracle(path(40), log_queries=True)
         assert o._dense == 2
+
+        def form(u):
+            row = o._partners[u]
+            return "bitmap" if type(row) is bytearray else "full" if len(row) == 2 else "array"
+
+        def charge(u, v, before, after):
+            # a fresh single query: both rows' forms before and after, and
+            # each row holds the other end
+            assert (form(u), form(v)) == before
+            charged = o.ledger.distinct_queries
+            assert o.query(u, v, ANC) == abs(u - v)
+            assert o.ledger.distinct_queries == charged + 1
+            assert (form(u), form(v)) == after
+            assert v in partners_of(o, u) and u in partners_of(o, v)
+
         # the source's row: 3 partners at once
         assert o.batch_distances_from(0, [5, 10, 15, 0], ANC) == {5: 5, 10: 10, 15: 15, 0: 0}
         # a target's row: 2 partners from single queries, then a batch's
-        assert o.query(30, 31, ANC) == 1 and o.query(32, 30, ANC) == 2
-        assert type(o._partners[30]) is array
+        charge(30, 31, ("array", "array"), ("array", "array"))
+        charge(32, 30, ("array", "array"), ("array", "full"))
         assert o.batch_distances_from(35, [30, 36], ANC) == {30: 5, 36: 1}
-        # a single query's end, with an array at the other end
-        assert o.query(20, 21, ANC) == 1 and o.query(20, 22, ANC) == 2
-        assert type(o._partners[20]) is array
-        assert o.query(23, 20, ANC) == 3
-        # single queries at a bitmap end: with a bitmap and with a full array
-        assert o.query(0, 20, ANC) == 20
-        assert o.query(25, 26, ANC) == 1 and o.query(25, 27, ANC) == 2
-        assert o.query(0, 25, ANC) == 25
+        assert form(30) == "bitmap"
+        # a single query's end, full at v and then at u, with an array at
+        # the other end
+        charge(20, 21, ("array", "array"), ("array", "array"))
+        charge(20, 22, ("array", "array"), ("full", "array"))
+        charge(23, 20, ("array", "full"), ("array", "bitmap"))
+        charge(11, 12, ("array", "array"), ("array", "array"))
+        charge(11, 13, ("array", "array"), ("full", "array"))
+        charge(11, 14, ("full", "array"), ("bitmap", "array"))
+        # single queries at a bitmap end: with a bitmap, a full array and a
+        # short array at the other end, the bitmap at u or at v
+        charge(0, 20, ("bitmap", "bitmap"), ("bitmap", "bitmap"))
+        charge(25, 26, ("array", "array"), ("array", "array"))
+        charge(25, 27, ("array", "array"), ("full", "array"))
+        charge(0, 25, ("bitmap", "full"), ("bitmap", "bitmap"))
+        charge(0, 1, ("bitmap", "array"), ("bitmap", "array"))
+        charge(2, 0, ("array", "bitmap"), ("array", "bitmap"))
         bitmaps = [u for u in range(40) if type(o._partners[u]) is bytearray]
-        assert bitmaps == [0, 20, 25, 30]
+        assert bitmaps == [0, 11, 20, 25, 30]
         assert all(len(o._partners[u]) == 5 for u in bitmaps)
         pairs = [(0, 5), (0, 10), (0, 15), (30, 31), (32, 30), (35, 30), (35, 36),
-                 (20, 21), (20, 22), (23, 20), (0, 20), (25, 26), (25, 27), (0, 25)]
+                 (20, 21), (20, 22), (23, 20), (11, 12), (11, 13), (11, 14), (0, 20),
+                 (25, 26), (25, 27), (0, 25), (0, 1), (2, 0)]
         assert o.ledger.distinct_queries == len(pairs)
         assert [(u, v) for u, v, _, _ in o.ledger.log] == pairs
         for u in range(40):
             assert partners_of(o, u) == {a + b - u for a, b in pairs if u in (a, b)}
         check_re_asked(o, pairs)
-        # a batch from a bitmap row charges only its new pairs
+        # a batch from a bitmap row charges only its new pairs: 0 has 7
         assert o.batch_distances_from(0, range(40), ANC) == {t: t for t in range(40)}
-        assert o.ledger.distinct_queries == len(pairs) + 39 - 5
+        assert o.ledger.distinct_queries == len(pairs) + 39 - 7
 
     @pytest.mark.parametrize("n,dense", [(1 << 16, 4096), ((1 << 16) + 1, 2048)])
     def test_a_batch_switches_the_largest_id_row(self, monkeypatch, n, dense):
@@ -446,13 +470,19 @@ class TestDistanceLabels:
         o = DistanceOracle(hidden)
         assert o._build_labels() and o.stats.label_entries <= 15 * n
 
-    def test_held_row_on_a_cycle(self, monkeypatch):
-        monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", 0)
+    @pytest.mark.parametrize("label_budget", [0, oracle_module._LABEL_BUDGET],
+                             ids=["rows", "labels"])
+    def test_held_row_on_a_cycle(self, monkeypatch, label_budget):
+        # labels and rows hold an end by one rule; they differ only in how
+        # the held end is loaded: a complete row, or its label spread over via
+        monkeypatch.setattr(oracle_module, "_LABEL_BUDGET", label_budget)
+        rows = label_budget == 0
         g = cycle(64)
-        check_held_row(g)
+        if rows:
+            check_held_row(g)
         table = brute_all_pairs(g)
         o = DistanceOracle(g)
-        # (pair, the vertex whose row answers it, rows built so far)
+        # (pair, the vertex held after it, rows built so far past the budget)
         steps = [
             ((0, 32), 32, 1),  # no end held and no pair before: v
             ((5, 32), 32, 1),  # a held end, second
@@ -464,10 +494,18 @@ class TestDistanceLabels:
         ]
         for (u, v), held, built in steps:
             assert o.query(u, v, ANC) == table[u][v]
-            assert o._held == held and o.stats.fallback_rows == built
-            assert o._via == table[held]
-        # the build stopped at its first root's n entries and left no labels
-        assert o._labels == [] and o.stats.label_entries == g.n
+            assert o._held == held and o.stats.fallback_rows == (built if rows else 0)
+            if rows:
+                assert o._via == table[held]
+            else:
+                hubs, dists, ends = o._labels
+                spread = [g.n] * g.n
+                for i in range(ends[held], ends[held + 1]):
+                    spread[hubs[i]] = dists[i]
+                assert o._via == spread
+        if rows:
+            # the build stopped at its first root's n entries and left no labels
+            assert o._labels == [] and o.stats.label_entries == g.n
 
     def test_ancestor_queries_read_labels_and_batches_keep_no_rows(self):
         # a 2-tree asks most of its queries in neighbour-search batches;
