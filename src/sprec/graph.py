@@ -70,15 +70,15 @@ class Graph:
 class GraphBuilder:
     """Mutable adjacency accumulator; freeze with to_graph().
 
-    Not thread safe; owned by a single reconstruction run. to_graph() turns its
-    lists into the graph's tuples, so it comes last, once; an edge added twice raises.
+    Not thread safe; one run owns it. Rows are exact-size tuples, one longer per edge;
+    to_graph() sorts each into the graph's, so it comes last, once; an edge added twice raises.
     """
 
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int):
         self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.adj: list[tuple[int, ...]] = [()] * n
 
     def add_edge(self, u: int, v: int) -> None:
         for w in (u, v):
@@ -86,20 +86,27 @@ class GraphBuilder:
                 raise ValueError(f"vertex {w} out of range for n={self.n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        self.adj[u].append(v)
-        self.adj[v].append(u)
+        self.adj[u] += (v,)
+        self.adj[v] += (u,)
 
     def to_graph(self) -> Graph:
+        for u, a in enumerate(self.adj):  # one vertex at a time, as _freeze does
+            self.adj[u] = tuple(sorted(a))
         g = Graph.__new__(Graph)
-        g.n, g.adj = self.n, _freeze(self.adj)
+        g.n, g.adj = self.n, _simple(self.adj)
         return g
 
 
 def _freeze(adj: list) -> tuple[tuple[int, ...], ...]:
-    """Sort each list and swap it for its tuple in place; name the least repeated pair."""
+    """Sort each list and swap it for its tuple in place; _simple checks the result."""
     for u, a in enumerate(adj):
         a.sort()
         adj[u] = tuple(a)  # one list at a time, so no second copy of them all is held
+    return _simple(adj)
+
+
+def _simple(adj: list) -> tuple[tuple[int, ...], ...]:
+    """The sorted row tuples of adj as one tuple; name the least repeated pair."""
     if sum(map(len, map(set, adj))) != sum(map(len, adj)):
         u, v = next((u, x) for u, a in enumerate(adj) for x, y in zip(a, a[1:]) if x == y)
         raise ValueError(f"duplicate edge ({u},{v})")

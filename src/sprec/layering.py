@@ -4,7 +4,7 @@ Rooted at s, layer j holds the vertices at distance j from s. The parts at
 layer j are the intersections of layer j with the connected components of the
 graph minus all shallower layers; parts partition each layer and form a tree
 in which every part's parent sits one layer up. Most parts are one vertex, so
-the tree keeps its parts in flat per-part arrays, with no object per part.
+the tree keeps its parts in flat per-part lists and int arrays, no object per part.
 
 build_layering_tree builds the full tree of a completely known graph (ground
 truth for tests and benchmarks). The reconstruction grows a depth-capped tree
@@ -89,8 +89,8 @@ class LayeringTree:
     Part ids are assigned in (layer, min vertex id) order, so ids of a capped
     tree match the ids of the full tree truncated at the same depth.
 
-    Parts live in flat arrays: `layer[p]`, `parent[p]`, and slices of one list
-    each, `vertices(p)` and `children(p)`; layer k writes layer k - 1's children.
+    Parts live in flat lists, `layer[p]` and `parent[p]`, and in slices of one int
+    array each, `vertices(p)` and `children(p)`; layer k writes layer k - 1's children.
 
     Growth keeps, per part, the number of parts in its subtree (`size`) and
     a skew-binary jump pointer (Myers, 1983), so subtree sizes are O(1)
@@ -111,19 +111,19 @@ class LayeringTree:
         self.size: list[int] = []
         self.jump: list[int] = []
         self.caps: dict[int, tuple[int, int]] = {}
-        self._verts: list[int] = []
+        self._verts = array("i")
         self._vstart = array("i", [0])  # part p's vertices start at _vstart[p]
-        self._kids: list[int] = []
+        self._kids = array("i")
         self._kstart = array("i", [0])  # part p's children start at _kstart[p]
 
     def vertices(self, pid: int) -> list[int]:
         """The vertices of part pid, ascending."""
-        return self._verts[self._vstart[pid] : self._vstart[pid + 1]]
+        return self._verts[self._vstart[pid] : self._vstart[pid + 1]].tolist()
 
     def children(self, pid: int) -> list[int]:
         """The child parts of part pid, ascending; none in the capped layer."""
         ks = self._kstart
-        return self._kids[ks[pid] : ks[pid + 1]] if pid + 1 < len(ks) else []
+        return self._kids[ks[pid] : ks[pid + 1]].tolist() if pid + 1 < len(ks) else []
 
     def is_under(self, pid: int, top: int) -> bool:
         """Whether part pid lies in the subtree rooted at part top."""
@@ -173,7 +173,7 @@ class LayeringTree:
                     )
             self.layer.append(k)
             self.parent.append(parent_pid)
-            self._verts += vs
+            self._verts.extend(vs)
             self._vstart.append(len(self._verts))
             self._add_leaf(pid)
             for u in vs:
@@ -183,7 +183,7 @@ class LayeringTree:
             per_parent = Counter(self.parent[first:])
             for p in range(len(self._kstart) - 1, first):
                 self._kstart.append(self._kstart[-1] + per_parent[p])
-            self._kids += sorted(range(first, len(self.layer)), key=self.parent.__getitem__)
+            self._kids.extend(sorted(range(first, len(self.layer)), key=self.parent.__getitem__))
         self._count_layer(new_ids.values())
         self.cap = k
         return new_ids

@@ -174,11 +174,13 @@ class DistanceOracle:
                 if lv > dense else (v in pu) if lu <= lv else (u in pv)):
             return self._distance(u, v)  # answered again, uncharged
         d = self._distance(u, v)
-        if lu < dense > lv:  # two arrays that stay arrays
+        if lu < dense:  # an array that stays an array
             pu.append(v)
-            pv.append(u)
-        else:  # a bitmap end, or an array about to be one
+        else:  # a bitmap, or an array about to be one
             self._add(u, (v,))
+        if lv < dense:
+            pv.append(u)
+        else:
             self._add(v, (u,))
         ledger.distinct_queries += 1
         ledger.per_phase[phase] += 1
