@@ -70,8 +70,8 @@ class Graph:
 class GraphBuilder:
     """Mutable adjacency accumulator; freeze with to_graph().
 
-    Not thread safe; one run owns it. Rows are exact-size tuples, one longer per edge;
-    to_graph() sorts each into the graph's, so it comes last, once; an edge added twice raises.
+    Not thread safe; one run owns it. Rows are exact-size tuples, one longer per edge; to_graph()
+    sorts them into the graph's tuples, so it comes last, once; an edge added twice raises.
     """
 
     __slots__ = ("n", "adj")
@@ -90,23 +90,18 @@ class GraphBuilder:
         self.adj[v] += (u,)
 
     def to_graph(self) -> Graph:
-        for u, a in enumerate(self.adj):  # one vertex at a time, as _freeze does
-            self.adj[u] = tuple(sorted(a))
+        for u, a in enumerate(self.adj):  # one row at a time, the form _freeze sorts in place
+            self.adj[u] = sorted(a)
         g = Graph.__new__(Graph)
-        g.n, g.adj = self.n, _simple(self.adj)
+        g.n, g.adj = self.n, _freeze(self.adj)
         return g
 
 
 def _freeze(adj: list) -> tuple[tuple[int, ...], ...]:
-    """Sort each list and swap it for its tuple in place; _simple checks the result."""
+    """Sort each list and swap it for its tuple in place; name the least repeated pair."""
     for u, a in enumerate(adj):
         a.sort()
         adj[u] = tuple(a)  # one list at a time, so no second copy of them all is held
-    return _simple(adj)
-
-
-def _simple(adj: list) -> tuple[tuple[int, ...], ...]:
-    """The sorted row tuples of adj as one tuple; name the least repeated pair."""
     if sum(map(len, map(set, adj))) != sum(map(len, adj)):
         u, v = next((u, x) for u, a in enumerate(adj) for x, y in zip(a, a[1:]) if x == y)
         raise ValueError(f"duplicate edge ({u},{v})")
