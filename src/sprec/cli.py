@@ -161,7 +161,6 @@ def run_one(
             "tau_violation_suspected": not correct,
             "true_max_degree": true_delta,
             "budget_neighbor_per_vertex": true_delta ** (2 * eff_ell + 4),
-            "budget_neighbor_per_vertex_loose": true_delta ** (4 * eff_ell + 8),
             "oracle_stats": dataclasses.asdict(oracle.stats),
         },
         "_result": result,

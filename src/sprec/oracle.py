@@ -120,9 +120,8 @@ class DistanceOracle:
     holds the end the previous pair also had, else v. The labels are built
     at the first single query, so runs that ask none pay nothing for them.
 
-    Where query is overridden (a subclass, a wrapper), a batch calls it for
-    every target and the batch's answers, taken from its ball first, answer
-    those calls, so a batch never builds the labels or a row.
+    Where query is overridden (a subclass, a wrapper), a batch is one call of
+    it per distinct target, in first-seen order, and grows no ball.
     `stats` counts the BFS and label work behind the answers.
     """
 
@@ -148,7 +147,6 @@ class DistanceOracle:
         # base + d, and marks below _base are left from earlier balls
         self._marks: list[int] | None = None
         self._base = 0
-        self._ball: tuple[int, dict[int, int]] | None = None  # (s, answers) during a batch
         self.stats = OracleStats()
 
     # -- query surface ----------------------------------------------------
@@ -206,6 +204,9 @@ class DistanceOracle:
         if not 0 <= s < n:
             raise ValueError(f"source {s} out of range for n={n}")
         targets = _checked_targets(s, targets, n)
+        if type(self).query is not _OWN_QUERY:
+            # an overriding query (a subclass's or a wrapper) sees each target
+            return {t: self.query(s, t, phase) for t in dict.fromkeys(targets)}
         ball = targets.count(s) < len(targets)  # a target besides s itself
         if ball:
             marks, base = self._marks, self._base
@@ -216,14 +217,6 @@ class DistanceOracle:
             self.stats.balls_transient += 1
         else:
             out = dict.fromkeys(targets, 0)
-        if type(self).query is not _OWN_QUERY:
-            # an overriding query (a subclass's or a wrapper) sees each
-            # target, and _distance answers it from the batch's answers
-            self._ball = s, out
-            try:
-                return {t: self.query(s, t, phase) for t in out}
-            finally:
-                self._ball = None
         ledger = self.ledger
         ledger.raw_calls += len(out)
         if not ball:
@@ -281,7 +274,7 @@ class DistanceOracle:
     # -- hidden-side distance computation ---------------------------------
 
     def _distance(self, u: int, v: int) -> int:
-        """d(u, v), from the running batch's answers if it has one.
+        """d(u, v), for a single query.
 
         One end x is held, by the module docstring's rule for labels and rows
         alike: via is x's row, or via[h] is d(h, x) for each hub h of x and n
@@ -289,9 +282,6 @@ class DistanceOracle:
         the labels share a hub on a shortest path, and one of w's alone adds
         at least n. A label is read as one slice of the flat hubs and dists.
         """
-        ball = self._ball
-        if ball is not None and ball[0] == u and v in ball[1]:
-            return ball[1][v]
         labels = self._labels
         if labels is None:
             labels = self._labels = self._build_labels()

@@ -211,12 +211,13 @@ class TestTruncatedBalls:
 
 
 class TestTransientBalls:
-    """A batch grows a ball that is never cached and builds no labels."""
+    """A batch grows a ball that is never cached and builds no labels,
+    unless query is overridden: then it is single queries."""
 
     def test_batch_without_a_row_keeps_none(self):
         o = DistanceOracle(path(40))
         assert o.batch_distances_from(5, [9, 1, 9], ANC) == {9: 4, 1: 4}
-        assert o.stats.fallback_rows == 0 and o._labels is None and o._ball is None
+        assert o.stats.fallback_rows == 0 and o._labels is None
         # radius 4 around 5: vertices 1 to 9
         assert o.stats == OracleStats(balls_transient=1, visited=9)
         assert o.batch_distances_from(5, [9, 12], ANC) == {9: 4, 12: 7}
@@ -224,7 +225,7 @@ class TestTransientBalls:
         assert o.stats.fallback_rows == 0 and o._labels is None
         assert o.stats == OracleStats(balls_transient=2, visited=9 + 13)
 
-    def test_overridden_query_reads_the_batch_ball(self):
+    def test_overridden_query_answers_the_batch_as_single_queries(self):
         class Counting(DistanceOracle):
             def query(self, u, v, phase):
                 if v == 39:
@@ -232,15 +233,17 @@ class TestTransientBalls:
                 return super().query(u, v, phase)
 
         o = Counting(path(40), log_queries=True)
-        assert o.batch_distances_from(5, [9, 1, 5], ANC) == {9: 4, 1: 4, 5: 0}
-        # the ball answered every target: no labels, no rows, no slot left
-        assert o._labels is None and o.stats.fallback_rows == 0 and o._ball is None
-        assert o.stats == OracleStats(balls_transient=1, visited=9)
+        single = DistanceOracle(path(40), log_queries=True)
+        targets = [9, 1, 5, 9, 12, 1]
+        out = o.batch_distances_from(5, targets, ANC)
+        assert list(out.items()) == [(t, single.query(5, t, ANC)) for t in dict.fromkeys(targets)]
+        assert ledger_state(o) == ledger_state(single) and o.ledger.raw_calls == 4
+        # no ball: the first batch builds the labels, as a single query does
+        assert o.stats.balls_transient == 0 and o.stats.label_entries > 0
         with pytest.raises(KeyError):
-            o.batch_distances_from(5, [12, 39], ANC)
-        assert o._ball is None and o._labels is None
-        assert o.query(5, 20, ANC) == 15  # a single query builds the labels
-        assert o.stats.label_entries > 0 and o.stats.fallback_rows == 0
+            o.batch_distances_from(5, [20, 39], ANC)
+        single.query(5, 20, ANC)  # charged before the error, as one query would be
+        assert ledger_state(o) == ledger_state(single)
 
 
 class TestSharedBalls:
@@ -300,7 +303,8 @@ class TestSharedBalls:
             seen.clear()
             assert o.batch_distances_from(s, targets, ANC) == {t: table[s][t] for t in targets}
             assert seen == [(s, t, table[s][t]) for t in dict.fromkeys(targets)]
-        assert o.stats.balls_transient == 50 and o.stats.fallback_rows > 50
+        # batches under an overriding query grow no ball
+        assert o.stats.balls_transient == 0 and o.stats.fallback_rows > 50
 
 
 class TestPartnerIdWidth:
@@ -650,11 +654,10 @@ def rings_around(graph, s):
 
 
 def check_rows(o, table, touched):
-    """No batch ball is left behind; built labels answer every pair from a
-    touched vertex exactly and build no row; past the label budget, the
-    held row is its vertex's complete row."""
+    """Built labels answer every pair from a touched vertex exactly and
+    build no row; past the label budget, the held row is its vertex's
+    complete row."""
     n = o.n
-    assert o._ball is None
     if o._labels:
         assert o.stats.fallback_rows == 0
         for u in touched:

@@ -396,6 +396,21 @@ class TestReconstruct:
         assert oracle.ledger.per_phase[QueryPhase.BOOTSTRAP] == 0
         assert oracle.ledger.distinct_queries == 7
 
+    def test_neighbor_search_over_its_limit_raises(self):
+        # an oracle off the protocol can charge past the limit of Delta^(2l+4)
+        class AsksEveryPairAtU(DistanceOracle):
+            def query(self, u, v, phase):
+                if phase is QueryPhase.NEIGHBOR_SEARCH:
+                    for w in range(self.n):
+                        super().query(u, w, phase)
+                return super().query(u, v, phase)
+
+        cfg = ReconstructionConfig(ell=0, strict_budget=True, max_degree=2)
+        with pytest.raises(
+            BudgetExceeded, match="^neighbor search for 2 used 38 queries, limit 16$"
+        ):
+            reconstruct(AsksEveryPairAtU(path(40)), cfg)
+
     @pytest.mark.parametrize("family", [RANDOM_TREE, CATERPILLAR])
     def test_second_root_raises_under_strict_budgets(self, family):
         # A second vertex at depth 0 once gave a random tree back with 62 of
