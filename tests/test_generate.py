@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import sys
 from dataclasses import replace
@@ -24,6 +25,7 @@ from sprec import (
     max_degree,
     reconstruct,
     tree_length,
+    write_edge_list,
 )
 from sprec.generate import SplitMix64, _ktree
 
@@ -55,6 +57,25 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             SplitMix64(0).randrange(0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 987654321])
+    @pytest.mark.parametrize("bound", [
+        1, 2, 3, 7, 2**31 + 1, 2**63 - 1, 2**63 + 1, 2**64 - 1, 2**64,
+    ])
+    def test_randrange_matches_a_reference_rejection_sampler(self, seed, bound):
+        # Accept a draw below the largest multiple of bound that fits in 64
+        # bits; at 2**63 + 1 that rejects about half the draws.
+        limit = (1 << 64) // bound * bound
+        ref = SplitMix64(seed)
+
+        def reference():
+            while (r := ref.next_u64()) >= limit:
+                pass
+            return r % bound
+
+        rng = SplitMix64(seed)
+        assert [rng.randrange(bound) for _ in range(2000)] == [reference() for _ in range(2000)]
+        assert rng.next_u64() == ref.next_u64()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -73,6 +94,44 @@ class TestDeterminism:
         g2, b2 = generate(spec)
         assert graphs_equal(g1, g2)
         assert b1 == b2
+
+    # sha256 of write_edge_list for each family at a small size, perfbench's
+    # three workload specs at seeds 0 and 7, and the k-tree that takes the
+    # first-fit fallback: the same spec must give the same bytes on every
+    # build.
+    @pytest.mark.parametrize("spec, digest", [
+        (FamilySpec(RANDOM_TREE, 50, 4, seed=9),
+         "d6d4c23931ea832706f1f07a333b04c1f1b91f50f33d9b36c803eab06350d8dd"),
+        (FamilySpec(KTREE, 40, 8, k=2, seed=9),
+         "5454c507d28c12623d29c31547581cb08402d4141a9238c6022530e629644d25"),
+        (FamilySpec(KTREE, 60, 12, k=3, seed=1),
+         "31ccbc74e4ac5277cfe4625cf8e11fd7cae507681dfd91c92067d608d49ed24c"),
+        (FamilySpec(RING_OF_CLIQUES, 24, 5, clique_size=4, seed=9),
+         "f82370ec22044e68706c8e7d2e2f08b7c4ffe6550f7abe837e846b16b8e1e36a"),
+        (FamilySpec(CYCLE, 12, 2, seed=9),
+         "cebcf76978fc31868a9ea4152fd7d1180e35d4ee1430855a030f54ba3e7cc696"),
+        (FamilySpec(CATERPILLAR, 30, 4, seed=9),
+         "7424ae05684f7c8cc5e35df2c87c5e9fe0146acdf065d0bafb0f7cbc278c4251"),
+        (FamilySpec(BOUNDED_DEGREE_CONNECTED, 50, 4, seed=9),
+         "87e0e0fbcbf691870a4c8c1f542a806c80f74b08a37c83d5d2128471ef80e9a4"),
+        (FamilySpec(RANDOM_TREE, 8192, 4, seed=0),
+         "d857213bf8685432b8dc8471bcd7795ffc8024e01a41c93a6917a7ba06aa03a3"),
+        (FamilySpec(KTREE, 4096, 8, k=2, seed=0),
+         "68da335aa9447ef38d04f29cb036444ffd1ed4e9e0b887760746043cd175ba0f"),
+        (FamilySpec(CATERPILLAR, 2048, 4, seed=0),
+         "1972091845b126a39fe5a32654c7385506b7582c27b7e7518b6a0cb72f966d71"),
+        (FamilySpec(RANDOM_TREE, 8192, 4, seed=7),
+         "a7de23dcdf3cf7c7f76fc9dcf080a429eef357b05bd8ade73e206456270fc276"),
+        (FamilySpec(KTREE, 4096, 8, k=2, seed=7),
+         "c450ba2ec0c83a0bb6b811ada1b866b34c6321233ae3b7d2992a92981b3c226b"),
+        (FamilySpec(CATERPILLAR, 2048, 4, seed=7),
+         "802018351e30a66c2cd8cd01876734faef24d5f68d97492d699642fcbe0037bd"),
+        (FamilySpec(KTREE, 100, 2, k=1, seed=0),
+         "74dfd846c66adf550268a9688f3d68a80ca9e40be821c7d49aa1ddc6efcec898"),
+    ])
+    def test_pinned_graph(self, spec, digest):
+        text = write_edge_list(generate(spec)[0])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_different_seed_usually_differs(self):
         a, _ = generate(FamilySpec(RANDOM_TREE, 50, 4, seed=0))
