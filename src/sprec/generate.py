@@ -2,10 +2,15 @@
 
 All randomness flows through SplitMix64, a fixed 64-bit counter-based
 generator, so a (family, parameters, seed) triple produces a bit-identical
-graph on every platform and run. generate returns each graph with its known
-treelength bound: one for the chordal families (trees, k-trees, small clique
-rings), None for the others, where the harness measures the layering-tree
-length of the concrete instance instead.
+graph on every platform and run. randrange(bound) keeps a draw below the
+largest multiple of bound that fits in 64 bits, and works that multiple out
+only for a draw above 2**64 - bound, as no lower one can reach it. A k-tree
+holds its k-cliques as ascending tuples: each new vertex exceeds all before
+it, so dropping one vertex of a clique and appending the new one needs no
+sort. generate returns each graph with its known treelength bound: one for
+the chordal families (trees, k-trees, small clique rings), None for the
+others, where the harness measures the layering-tree length of the concrete
+instance instead.
 
 Generation is a pure function of the spec; specs can be expanded in parallel.
 """
@@ -48,13 +53,14 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection."""
+        """Uniform integer in [0, bound), bound <= 2**64, unbiased via rejection."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        threshold = (1 << 64) - ((1 << 64) % bound)
+        if bound > 1 << 64:
+            raise ValueError("bound must be at most 2**64")
         while True:
             r = self.next_u64()
-            if r < threshold:
+            if r <= (1 << 64) - bound or r < (1 << 64) - (1 << 64) % bound:
                 return r % bound
 
 
@@ -134,25 +140,27 @@ def _ktree(spec: FamilySpec, rng: SplitMix64) -> tuple[Graph, int | None]:
     cliques: list[tuple[int, ...]] = [
         tuple(c for c in base if c != skip) for skip in base
     ]
+    degree_of = degree.__getitem__
     for v in range(k + 1, n):
         chosen = None
         for _ in range(64):
             cand = cliques[rng.randrange(len(cliques))]
-            if all(degree[c] < cap for c in cand):
+            if max(map(degree_of, cand)) < cap:
                 chosen = cand
                 break
         if chosen is None:
             for cand in cliques:
-                if all(degree[c] < cap for c in cand):
+                if max(map(degree_of, cand)) < cap:
                     chosen = cand
                     break
-        _require(chosen is not None, "no attachable clique respects the degree cap")
+            else:
+                raise InfeasibleSpecError("no attachable clique respects the degree cap")
         for c in chosen:
             edges.append((c, v))
             degree[c] += 1
         degree[v] = k
-        for skip in chosen:
-            cliques.append(tuple(sorted([v] + [c for c in chosen if c != skip])))
+        for i in range(k):  # ascending, as v exceeds all of chosen
+            cliques.append((*chosen[:i], *chosen[i + 1 :], v))
     return Graph(n, edges), 1
 
 

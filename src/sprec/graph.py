@@ -26,6 +26,10 @@ def as_integer(name: str, value: object) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _edge_type_error(u: object, v: object) -> TypeError:
+    return TypeError(f"edge vertices must be integers, got ({u!r}, {v!r})")
+
+
 class Graph:
     """Immutable simple undirected graph with sorted adjacency lists."""
 
@@ -40,8 +44,11 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].append(v)
-            adj[v].append(u)
+            try:
+                adj[u].append(v)
+                adj[v].append(u)
+            except TypeError:  # a non-integer index; adj is dropped with the error
+                raise _edge_type_error(u, v) from None
         self.n = n
         self.adj = _freeze(adj)
 
@@ -81,13 +88,17 @@ class GraphBuilder:
         self.adj: list[tuple[int, ...]] = [()] * n
 
     def add_edge(self, u: int, v: int) -> None:
-        for w in (u, v):
-            if not 0 <= w < self.n:
-                raise ValueError(f"vertex {w} out of range for n={self.n}")
+        n, adj = self.n, self.adj
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex {v if 0 <= u < n else u} out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        self.adj[u] += (v,)
-        self.adj[v] += (u,)
+        try:  # both rows are read, so both ends are checked, before either is written
+            au, av = adj[u], adj[v]
+        except TypeError:
+            raise _edge_type_error(u, v) from None
+        adj[u] = au + (v,)
+        adj[v] = av + (u,)
 
     def to_graph(self) -> Graph:
         for u, a in enumerate(self.adj):  # one row at a time, the form _freeze sorts in place
@@ -128,15 +139,17 @@ def bfs_distances(g: GraphLike, s: int) -> list[int]:
         raise ValueError(f"source {s} out of range for n={g.n}")
     dist = [UNREACHABLE] * g.n
     dist[s] = 0
-    queue = deque([s])
+    frontier = [s]
     adj = g.adj
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = du
-                queue.append(w)
+    d = 0
+    while frontier:
+        d += 1
+        level, frontier = frontier, []
+        for u in level:
+            for w in adj[u]:
+                if dist[w] == UNREACHABLE:
+                    dist[w] = d
+                    frontier.append(w)
     return dist
 
 

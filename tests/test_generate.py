@@ -57,6 +57,11 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             SplitMix64(0).randrange(0)
 
+    def test_randrange_rejects_a_bound_past_64_bits(self):
+        # No 64-bit draw could be accepted for such a bound.
+        with pytest.raises(ValueError, match=r"^bound must be at most 2\*\*64$"):
+            SplitMix64(0).randrange(2**64 + 1)
+
     @pytest.mark.parametrize("seed", [0, 1, 987654321])
     @pytest.mark.parametrize("bound", [
         1, 2, 3, 7, 2**31 + 1, 2**63 - 1, 2**63 + 1, 2**64 - 1, 2**64,

@@ -113,6 +113,25 @@ class TestConstruction:
         assert b.adj == [(1,), (0,), ()]
         assert b.to_graph() == Graph(3, [(0, 1)])
 
+    @pytest.mark.parametrize("u, v", [(0, 1.5), (1.0, 2)])
+    def test_builder_rejects_a_non_integer_vertex_before_any_write(self, u, v):
+        b = GraphBuilder(3)
+        with pytest.raises(TypeError, match=rf"^edge vertices must be integers, got \({u}, {v}\)$"):
+            b.add_edge(u, v)
+        assert b.adj == [(), (), ()]
+
+    def test_graph_rejects_a_non_integer_vertex(self):
+        with pytest.raises(TypeError, match=r"^edge vertices must be integers, got \(1.0, 2\)$"):
+            Graph(3, [(0, 1), (1.0, 2)])
+
+    def test_numpy_integer_vertices_are_accepted(self):
+        np = pytest.importorskip("numpy")
+        edges = [(np.int64(0), np.int32(1)), (np.intp(2), 1)]
+        b = GraphBuilder(3)
+        for u, v in edges:
+            b.add_edge(u, v)
+        assert b.to_graph() == Graph(3, edges) == Graph(3, [(0, 1), (1, 2)])
+
     def test_builder_rejects_self_loop(self):
         b = GraphBuilder(3)
         with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
