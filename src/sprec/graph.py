@@ -88,17 +88,17 @@ class GraphBuilder:
         self.adj: list[tuple[int, ...]] = [()] * n
 
     def add_edge(self, u: int, v: int) -> None:
-        n, adj = self.n, self.adj
+        try:  # both ends, before either row is written
+            u, v = index(u), index(v)
+        except TypeError:
+            raise _edge_type_error(u, v) from None
+        n = self.n
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"vertex {v if 0 <= u < n else u} out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        try:  # both rows are read, so both ends are checked, before either is written
-            au, av = adj[u], adj[v]
-        except TypeError:
-            raise _edge_type_error(u, v) from None
-        adj[u] = au + (v,)
-        adj[v] = av + (u,)
+        self.adj[u] += (v,)
+        self.adj[v] += (u,)
 
     def to_graph(self) -> Graph:
         for u, a in enumerate(self.adj):  # one row at a time, the form _freeze sorts in place
@@ -139,17 +139,15 @@ def bfs_distances(g: GraphLike, s: int) -> list[int]:
         raise ValueError(f"source {s} out of range for n={g.n}")
     dist = [UNREACHABLE] * g.n
     dist[s] = 0
-    frontier = [s]
+    queue = deque([s])
     adj = g.adj
-    d = 0
-    while frontier:
-        d += 1
-        level, frontier = frontier, []
-        for u in level:
-            for w in adj[u]:
-                if dist[w] == UNREACHABLE:
-                    dist[w] = d
-                    frontier.append(w)
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] == UNREACHABLE:
+                dist[w] = du
+                queue.append(w)
     return dist
 
 
